@@ -440,7 +440,7 @@ func runManager(ctx context.Context, cfg dist.ManagerConfig, opt managerOpts, ev
 	if err != nil {
 		fatal(events, "listen: %v", err)
 	}
-	srv := &http.Server{Handler: m.Handler()}
+	srv := managerServer(m.Handler())
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "manager: fabric API + /metrics on http://%s\n", ln.Addr())
 
@@ -473,6 +473,26 @@ wait:
 	fmt.Printf("findings: %d unique crash titles\n", len(all))
 	if opt.corpusOut != "" {
 		writeCorpusFile(opt.corpusOut, m.WriteCorpus, events)
+	}
+}
+
+// managerHeaderTimeout bounds how long a client may take to send its
+// request header (a variable so tests can shorten it).
+var managerHeaderTimeout = 10 * time.Second
+
+// managerServer wraps the manager's fabric API in a bounded http.Server. A
+// client that stalls mid-header, trickles its body, never reads its
+// response, or parks an idle keep-alive connection is disconnected instead
+// of holding a socket and a goroutine. No fabric handler long-polls, so a
+// whole request and a whole response each fit the worker client's own
+// 30 s deadline.
+func managerServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: managerHeaderTimeout,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 

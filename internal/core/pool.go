@@ -210,8 +210,11 @@ func (s *SafeReportSet) Titles() []string {
 // merged in step-index order at fixed batch boundaries. A campaign with a
 // given Config therefore produces byte-identical Stats (modulo the Perf
 // timing block), coverage, corpus, and reports at ANY worker count,
-// regardless of completion order. Heavy work (kernel executions) runs in
-// parallel; only planning and merging are serialized, and both are cheap.
+// regardless of completion order. Everything that draws from a step's
+// random stream — program choice, mutation or generation, and the kernel
+// executions — runs on the workers. Only three things stay serial at the
+// batch boundary: assigning step indices, popping the seed-corpus queue in
+// step order, and the step-index-ordered merge.
 type Pool struct {
 	// Workers is the executor width. NewPool defaults it to
 	// runtime.GOMAXPROCS(0).
@@ -357,12 +360,15 @@ func jobSeed(seed int64, idx uint64) int64 {
 	return int64(z)
 }
 
-// job is one planned campaign step: the program to test and the step's
-// private random stream (already advanced past program selection).
+// job is one campaign step as the batch boundary fixes it: its index, the
+// seed-corpus program it replays (nil unless the seed queue was non-empty),
+// and the corpus as of the boundary. The worker plans the rest.
 type job struct {
 	idx  uint64
-	prog *syzlang.Program
-	rng  *rand.Rand
+	seed *syzlang.Program
+	// corpus is capacity-capped at the boundary (p.corpus[:n:n]): merge
+	// only appends past it, so the view never changes under a worker.
+	corpus []*syzlang.Program
 }
 
 // jobReport is one finding produced inside a job. rebaseTests marks
@@ -393,31 +399,48 @@ type jobResult struct {
 	deferred   uint64
 }
 
-// planStep picks step idx's program exactly like Fuzzer.nextProgram, from
-// the corpus as of the current batch boundary, using the step's private
-// rng. Caller holds p.mu.
-func (p *Pool) planStep(idx uint64) job {
-	rng := rand.New(rand.NewSource(jobSeed(p.cfg.Seed, idx)))
-	var prog *syzlang.Program
-	switch {
-	case len(p.seeds) > 0:
-		prog = p.seeds[0]
-		p.seeds = p.seeds[1:]
-	case len(p.corpus) > 0 && rng.Intn(3) != 0:
-		prog = p.target.Mutate(rng, p.corpus[rng.Intn(len(p.corpus))])
-	default:
-		mods := p.target.Modules()
-		prog = p.target.GenerateFocused(rng, p.cfg.ProgLen, mods[rng.Intn(len(mods))])
+// stepRand is a worker's reusable random stream. reseed positions it at
+// the start of step idx's stream — the stream a fresh
+// rand.New(rand.NewSource(jobSeed(seed, idx))) would draw — so a step
+// costs one seeding but no new source; only a worker's first step
+// allocates one.
+type stepRand struct{ r *rand.Rand }
+
+func (s *stepRand) reseed(seed int64, idx uint64) *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(jobSeed(seed, idx)))
+	} else {
+		s.r.Seed(jobSeed(seed, idx))
 	}
-	return job{idx: idx, prog: prog, rng: rng}
+	return s.r
 }
 
-// runJob executes one campaign step: STI profile (cached), scheduling
-// hints, and the pair's MTI runs — the worker-side mirror of Fuzzer.Step,
-// writing only to the job-local result. wid tags this worker's event
-// stream (1..Workers).
-func (p *Pool) runJob(jb job, wid int) jobResult {
-	res := jobResult{idx: jb.idx, prog: jb.prog}
+// planJob picks step jb.idx's program exactly like Fuzzer.nextProgram,
+// from the corpus as of the step's batch boundary, drawing from rng (the
+// step's stream, left advanced past program selection). It runs on the
+// worker: nothing here touches shared campaign state.
+func (p *Pool) planJob(jb job, rng *rand.Rand) *syzlang.Program {
+	switch {
+	case jb.seed != nil:
+		return jb.seed
+	case len(jb.corpus) > 0 && rng.Intn(3) != 0:
+		return p.target.Mutate(rng, jb.corpus[rng.Intn(len(jb.corpus))])
+	default:
+		mods := p.target.Modules()
+		return p.target.GenerateFocused(rng, p.cfg.ProgLen, mods[rng.Intn(len(mods))])
+	}
+}
+
+// runJob executes one campaign step: program choice, STI profile
+// (cached), scheduling hints, and the pair's MTI runs — the worker-side
+// mirror of Fuzzer.Step, writing only to the job-local result. sr is the
+// worker's reusable stream; wid tags its event stream (1..Workers).
+func (p *Pool) runJob(jb job, sr *stepRand, wid int) jobResult {
+	gStart := time.Now()
+	rng := sr.reseed(p.cfg.Seed, jb.idx)
+	prog := p.planJob(jb, rng)
+	observe(p.co.stGenerate, gStart)
+	res := jobResult{idx: jb.idx, prog: prog}
 	defer func() {
 		p.co.ev.Info(wid, "step", map[string]any{
 			"step": jb.idx, "mtis": res.mtis, "hints": res.hints,
@@ -425,7 +448,7 @@ func (p *Pool) runJob(jb job, wid int) jobResult {
 		})
 	}()
 	pStart := time.Now()
-	sti := p.env.RunSTICached(jb.prog)
+	sti := p.env.RunSTICached(prog)
 	observe(p.co.stProfile, pStart)
 	res.stiCov = sti.Cov
 	if sti.Crash != nil {
@@ -433,18 +456,18 @@ func (p *Pool) runJob(jb job, wid int) jobResult {
 			Title:   sti.Crash.Title,
 			Oracle:  sti.Crash.Oracle,
 			OOO:     false,
-			Program: jb.prog.String(),
+			Program: prog.String(),
 		}})
 		return res // crashing input: nothing to pair
 	}
 	for _, s := range sti.Soft {
 		res.reports = append(res.reports, jobReport{r: &report.Report{
-			Title: s, Oracle: "semantic", OOO: false, Program: jb.prog.String(),
+			Title: s, Oracle: "semantic", OOO: false, Program: prog.String(),
 		}})
 	}
 
 	res.mtiCov = make(map[uint64]struct{})
-	pairs := pairOrder(len(jb.prog.Calls))
+	pairs := pairOrder(len(prog.Calls))
 	if len(pairs) > p.cfg.MaxPairs {
 		pairs = pairs[:p.cfg.MaxPairs]
 	}
@@ -457,13 +480,13 @@ func (p *Pool) runJob(jb job, wid int) jobResult {
 		hs := hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], p.cfg.Model)
 		observe(p.co.stHints, hStart)
 		res.hints += uint64(len(hs))
-		orderHints(hs, p.cfg.HintOrder, jb.rng)
+		orderHints(hs, p.cfg.HintOrder, rng)
 		if len(hs) > p.cfg.MaxHintsPerPair {
 			hs = hs[:p.cfg.MaxHintsPerPair]
 		}
 		for rank, h := range hs {
 			mStart := time.Now()
-			mres := p.env.RunMTI(MTIOpts{Prog: jb.prog, I: i, J: j, Hint: h})
+			mres := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h})
 			observe(p.co.stMTI, mStart)
 			res.mtis++
 			res.migrations += uint64(mres.Migrations)
@@ -480,7 +503,7 @@ func (p *Pool) runJob(jb job, wid int) jobResult {
 					res.mtiCov[e] = struct{}{}
 				}
 			}
-			p.harvestJob(&res, jb.prog, i, j, h, rank, mres)
+			p.harvestJob(&res, prog, i, j, h, rank, mres)
 		}
 	}
 	return res
@@ -643,8 +666,9 @@ func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
+			var sr stepRand
 			for jb := range jobs {
-				results <- p.runJob(jb, wid)
+				results <- p.runJob(jb, &sr, wid)
 			}
 		}(w + 1)
 	}
@@ -659,13 +683,18 @@ func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
 		if remaining > 0 && remaining < n {
 			n = remaining
 		}
-		// Plan the batch against the corpus as of this boundary.
+		// Fix what must be serial — step indices, the seed queue in step
+		// order, the corpus as of this boundary — and leave the rest of
+		// planning to the workers.
 		p.mu.Lock()
 		batch := make([]job, n)
-		for bi := 0; bi < n; bi++ {
-			gStart := time.Now()
-			batch[bi] = p.planStep(p.steps)
-			observe(p.co.stGenerate, gStart)
+		corpus := p.corpus[:len(p.corpus):len(p.corpus)]
+		for bi := range batch {
+			batch[bi] = job{idx: p.steps, corpus: corpus}
+			if len(p.seeds) > 0 {
+				batch[bi].seed = p.seeds[0]
+				p.seeds = p.seeds[1:]
+			}
 			p.steps++
 		}
 		p.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // Handler returns an http.Handler serving reg's text exposition at
@@ -31,6 +32,10 @@ func Handler(reg *Registry) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client of Serve may take to send its
+// request header (a variable so tests can shorten it).
+var readHeaderTimeout = 10 * time.Second
+
 // Serve starts an HTTP server for reg on addr (e.g. "127.0.0.1:9100";
 // ":0" picks a free port) in a background goroutine. It returns the bound
 // address and a shutdown func. The server lives until stop is called or
@@ -40,7 +45,17 @@ func Serve(addr string, reg *Registry) (bound string, stop func(), err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: Handler(reg)}
+	// A client that stalls mid-header or parks an idle keep-alive
+	// connection is disconnected rather than holding a socket and a
+	// goroutine for the life of the campaign. There is deliberately no
+	// ReadTimeout or WriteTimeout: /debug/pprof/profile and /trace stream
+	// for the ?seconds= the caller asks for, and net/http/pprof refuses
+	// any duration at or past the server's WriteTimeout.
+	srv := &http.Server{
+		Handler:           Handler(reg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestHandlerMetrics(t *testing.T) {
@@ -66,5 +69,55 @@ func TestServe(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "ozz_up 1") {
 		t.Errorf("served body missing gauge:\n%s", body)
+	}
+}
+
+// TestServeDropsStalledHeader: a client that sends half a request header
+// and then stalls is disconnected once the header timeout passes, instead
+// of holding its connection open indefinitely.
+func TestServeDropsStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	bound, stop, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	conn, err := net.Dial("tcp", bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: ozz\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("stalled client dropped after %v, want about %v", el, readHeaderTimeout)
+	}
+}
+
+// TestServePprofProfile: the timeouts leave the streaming pprof endpoints
+// usable — a short CPU profile still comes back whole.
+func TestServePprofProfile(t *testing.T) {
+	bound, stop, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	resp, err := http.Get("http://" + bound + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || len(body) == 0 {
+		t.Fatalf("profile: status %d, %d bytes: %.200s", resp.StatusCode, len(body), body)
 	}
 }

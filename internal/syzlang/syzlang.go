@@ -9,6 +9,7 @@ package syzlang
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -183,6 +184,8 @@ type Target struct {
 	byName map[string]*SyscallDef
 	// producers[kind] lists defs returning the resource kind.
 	producers map[ResourceKind][]*SyscallDef
+	// modules is the sorted distinct module list, computed once.
+	modules []string
 }
 
 // NewTarget builds a target from templates.
@@ -192,12 +195,16 @@ func NewTarget(defs []*SyscallDef) *Target {
 		byName:    make(map[string]*SyscallDef),
 		producers: make(map[ResourceKind][]*SyscallDef),
 	}
-	for _, d := range defs {
+	mods := make([]string, len(defs))
+	for i, d := range defs {
 		t.byName[d.Name] = d
 		if d.Ret != "" {
 			t.producers[d.Ret] = append(t.producers[d.Ret], d)
 		}
+		mods[i] = d.Module
 	}
+	sort.Strings(mods)
+	t.modules = slices.Clip(slices.Compact(mods))
 	return t
 }
 
@@ -271,19 +278,10 @@ func (t *Target) GenerateFocused(r *rand.Rand, n int, module string) *Program {
 	return t.generateFrom(r, n, defs)
 }
 
-// Modules lists the distinct module names of the target's templates.
-func (t *Target) Modules() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range t.Defs {
-		if !seen[d.Module] {
-			seen[d.Module] = true
-			out = append(out, d.Module)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// Modules lists the distinct module names of the templates NewTarget was
+// given, sorted. The slice is shared and computed once: callers must not
+// modify it.
+func (t *Target) Modules() []string { return t.modules }
 
 func (t *Target) generateFrom(r *rand.Rand, n int, defs []*SyscallDef) *Program {
 	p := &Program{}
