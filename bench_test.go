@@ -114,17 +114,15 @@ func BenchmarkThroughputSyzkaller(b *testing.B) {
 }
 
 // BenchmarkThroughputOzz measures OZZ: one full pipeline step (STI +
-// profiling + hints + all MTI runs) per iteration. The paper reports a 7.9x
-// throughput drop versus the baseline.
+// profiling + hints + all MTI runs) per iteration, on a 1-worker campaign
+// executor. The paper reports a 7.9x throughput drop versus the baseline.
 func BenchmarkThroughputOzz(b *testing.B) {
-	f := core.NewFuzzer(core.Config{Seed: 1, UseSeeds: true})
+	p := core.NewPool(core.Config{Seed: 1, UseSeeds: true}, 1)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Step()
-	}
+	p.Run(b.N)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tests/s")
-	if f.Stats.Steps > 0 {
-		b.ReportMetric(float64(f.Stats.MTIs)/float64(f.Stats.Steps), "MTIs/program")
+	if s := p.Stats(); s.Steps > 0 {
+		b.ReportMetric(float64(s.MTIs)/float64(s.Steps), "MTIs/program")
 	}
 }
 
@@ -287,17 +285,19 @@ func BenchmarkLitmusMP(b *testing.B) {
 func BenchmarkAblationHintOrder(b *testing.B) {
 	const title = "BUG: unable to handle kernel NULL pointer dereference in pipe_read"
 	measure := func(order string) float64 {
-		f := core.NewFuzzer(core.Config{
+		p := core.NewPool(core.Config{
 			Modules:   []string{"watchqueue"},
 			Bugs:      modules.Bugs("watchqueue:pipe_wmb"),
 			Seed:      5,
 			UseSeeds:  true,
 			HintOrder: order,
-		})
-		if f.RunUntil(title, 100) == nil {
+		}, 1)
+		r := p.RunUntil(title, 100)
+		if r == nil {
 			return -1
 		}
-		return float64(f.Stats.MTIs)
+		// MTIs at discovery; the pool finishes the batch past it.
+		return float64(r.Tests)
 	}
 	var h, r, rnd float64
 	for i := 0; i < b.N; i++ {
@@ -318,18 +318,18 @@ func BenchmarkAblationInterrupts(b *testing.B) {
 			if bug.Type != "S-S" || bug.Switch == "sbitmap:freed_order" {
 				continue
 			}
-			f := core.NewFuzzer(core.Config{
+			p := core.NewPool(core.Config{
 				Modules:           []string{bug.Module},
 				Bugs:              modules.Bugs(bug.Switch),
 				Seed:              42,
 				UseSeeds:          true,
 				InterruptOnSwitch: interrupts,
-			})
+			}, 1)
 			want := bug.Title
 			if want == "" {
 				want = bug.SoftTitle
 			}
-			if f.RunUntil(want, 60) != nil {
+			if p.RunUntil(want, 60) != nil {
 				found++
 			}
 		}

@@ -13,9 +13,8 @@
 // -strategy selects the engine strategy ("ooo", "migration", "deferred").
 // When omitted it defaults to the strategy the bug's corpus entry declares
 // (BugInfo.Strategy) — so `ozz-repro -bug sbitmap:freed_order` reproduces
-// Table 4 #6 through real cross-CPU migration with no extra flags. The
-// legacy -migration-assist switch is deprecated in favour of
-// -strategy migration (docs/SCHEDULING.md).
+// Table 4 #6 through real cross-CPU migration with no extra flags
+// (docs/SCHEDULING.md).
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 		budget = flag.Int("budget", 200, "max fuzzer steps")
 		seed   = flag.Int64("seed", 42, "campaign seed")
 		list   = flag.Bool("list", false, "list bug switches and exit")
-		assist = flag.Bool("migration-assist", false, "enable the sbitmap migration assist (deprecated; use -strategy migration)")
 		strat  = flag.String("strategy", "", `engine strategy: "ooo", "migration", or "deferred" (default: the bug's declared strategy)`)
 		fix    = flag.Bool("repair", false, "search for a fence repair and print the suggestion (docs/REPAIR.md)")
 	)
@@ -53,12 +51,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	switches := []string{b.Switch}
-	if *assist {
-		const sw = "sbitmap:migration_assist"
-		fmt.Fprintf(os.Stderr, "warning: -migration-assist is %s\n", modules.DeprecatedSwitches[sw])
-		switches = append(switches, sw)
-	}
 	// An unset -strategy defers to the strategy the corpus entry declares,
 	// so migration-gated bugs reproduce with no extra flags.
 	strategy := *strat
@@ -69,14 +61,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	f := core.NewFuzzer(core.Config{
+	p := core.NewPool(core.Config{
 		Modules:  []string{b.Module},
-		Bugs:     modules.Bugs(switches...),
+		Bugs:     modules.Bugs(b.Switch),
 		Seed:     *seed,
 		UseSeeds: true,
 		Strategy: strategy,
 		Repair:   *fix,
-	})
+	}, 1)
 	want := b.Title
 	if want == "" {
 		want = b.SoftTitle
@@ -85,9 +77,9 @@ func main() {
 		fmt.Printf("strategy: %s\n", strategy)
 	}
 	fmt.Printf("reproducing %s (%s, %s, kernel %s)...\n", b.ID, b.Switch, b.Subsystem, b.KernelVersion)
-	r := f.RunUntil(want, *budget)
+	r := p.RunUntil(want, *budget)
 	if r == nil {
-		fmt.Printf("NOT reproduced within %d steps (%d hypothetical-barrier tests)\n", *budget, f.Stats.MTIs)
+		fmt.Printf("NOT reproduced within %d steps (%d hypothetical-barrier tests)\n", *budget, p.Stats().MTIs)
 		if b.Note != "" {
 			fmt.Printf("note: %s\n", b.Note)
 		}
@@ -96,7 +88,7 @@ func main() {
 	fmt.Println("reproduced:")
 	fmt.Print(r.String())
 	if *fix {
-		if rr := f.RepairResult(want); rr != nil {
+		if rr := p.RepairResult(want); rr != nil {
 			fmt.Print(rr.Render())
 		} else {
 			fmt.Println("no fence repair found for this finding")

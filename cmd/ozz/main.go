@@ -11,9 +11,8 @@
 //
 // With -bugs all (the default), every Table 3/Table 4 bug switch is active —
 // the fuzzer hunts the whole corpus. With -bugs "" the kernel is fully
-// fixed and a clean campaign is expected to find nothing. Deprecated
-// switches (modules.DeprecatedSwitches) are excluded from "all" and warn
-// when requested explicitly.
+// fixed and a clean campaign is expected to find nothing. An unknown
+// switch name is a usage error (exit 2): see -list for the registered ones.
 //
 // -strategy selects the engine strategy reordering tests run under
 // (standalone mode only): "ooo" (default), "migration" (real cross-CPU
@@ -125,23 +124,10 @@ func main() {
 	if *mods != "" {
 		modList = strings.Split(*mods, ",")
 	}
-	var bugNames []string
-	switch *bugs {
-	case "all":
-		for _, b := range modules.AllBugs() {
-			if _, deprecated := modules.DeprecatedSwitches[b.Switch]; deprecated {
-				continue
-			}
-			bugNames = append(bugNames, b.Switch)
-		}
-	case "":
-	default:
-		bugNames = strings.Split(*bugs, ",")
-		for _, sw := range bugNames {
-			if why, deprecated := modules.DeprecatedSwitches[sw]; deprecated {
-				fmt.Fprintf(os.Stderr, "warning: bug switch %q is deprecated: %s\n", sw, why)
-			}
-		}
+	bugNames, err := parseBugs(*bugs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	bugSet := modules.Bugs(bugNames...)
 
@@ -223,6 +209,30 @@ func main() {
 	default:
 		fatal(events, "unknown -mode %q (want standalone, manager, or worker)", *mode)
 	}
+}
+
+// parseBugs resolves the -bugs flag: "all" is every registered switch, ""
+// none, and anything else a comma list whose every name must be a
+// registered switch — modules.Bugs accepts any string, so a typo would
+// otherwise run a campaign with that bug silently off.
+func parseBugs(spec string) ([]string, error) {
+	switch spec {
+	case "all":
+		var names []string
+		for _, b := range modules.AllBugs() {
+			names = append(names, b.Switch)
+		}
+		return names, nil
+	case "":
+		return nil, nil
+	}
+	names := strings.Split(spec, ",")
+	for _, sw := range names {
+		if _, ok := modules.FindBug(sw); !ok {
+			return nil, fmt.Errorf("unknown bug switch %q (try -list)", sw)
+		}
+	}
+	return names, nil
 }
 
 // fatal flushes the event log (os.Exit skips defers) and exits non-zero.

@@ -5,11 +5,42 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"ozz/internal/dist"
+	"ozz/internal/modules"
 )
+
+// TestParseBugsRejectsUnknown: -bugs accepts "all", "", and lists of
+// registered switches, and names the first unregistered switch — a typo or
+// a retired name — instead of running with that bug silently off.
+func TestParseBugsRejectsUnknown(t *testing.T) {
+	all, err := parseBugs("all")
+	if err != nil || len(all) != len(modules.AllBugs()) {
+		t.Fatalf(`parseBugs("all") = %d names, %v; want %d, nil`, len(all), err, len(modules.AllBugs()))
+	}
+	if none, err := parseBugs(""); none != nil || err != nil {
+		t.Fatalf(`parseBugs("") = %v, %v; want nil, nil`, none, err)
+	}
+	want := []string{"watchqueue:pipe_wmb", "tls:sk_prot_wmb"}
+	if got, err := parseBugs(strings.Join(want, ",")); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseBugs(list) = %v, %v; want %v, nil", got, err, want)
+	}
+	for _, bad := range []string{"watchqueue:pipe_wmbx", "sbitmap:migration_assist", "tls:sk_prot_wmb,nosuch", "watchqueue:pipe_wmb,"} {
+		got, err := parseBugs(bad)
+		if err == nil {
+			t.Errorf("parseBugs(%q) = %v, nil; want an error", bad, got)
+			continue
+		}
+		name := bad[strings.LastIndex(bad, ",")+1:]
+		if !strings.Contains(err.Error(), `"`+name+`"`) || !strings.Contains(err.Error(), "-list") {
+			t.Errorf("parseBugs(%q) error %q does not name %q and point at -list", bad, err, name)
+		}
+	}
+}
 
 // TestManagerServerDropsStalledHeader: a client that sends half a request
 // header to the manager and then stalls is disconnected once the header

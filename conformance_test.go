@@ -89,9 +89,8 @@ type golden struct {
 	KCSANPlainTitles     []string `json:"kcsan_plain_titles"`
 	KCSANAnnotatedTitles []string `json:"kcsan_annotated_titles"`
 	KCSANBitlockTitles   []string `json:"kcsan_bitlock_titles"`
-	// Full campaigns through the serial fuzzer and the parallel pool.
-	Fuzzer campaignFixture `json:"fuzzer"`
-	Pool   campaignFixture `json:"pool"`
+	// Full campaign through the pool (4 workers).
+	Pool campaignFixture `json:"pool"`
 	// Migration strategy: Table 4 #6 reproduced organically via real
 	// cross-CPU moves at scheduling points (no migration assist).
 	MigrationSbitmap oooFixture `json:"migration_sbitmap"`
@@ -167,9 +166,6 @@ var conformanceModules = []string{
 func allOOOSwitches() []string {
 	var switches []string
 	for _, b := range modules.AllBugs() {
-		if _, deprecated := modules.DeprecatedSwitches[b.Switch]; deprecated {
-			continue
-		}
 		switches = append(switches, b.Switch)
 	}
 	return switches
@@ -246,18 +242,6 @@ func capture(t *testing.T) golden {
 	g.KCSANBitlockTitles = kcsanTitles("rds", "rds:clear_bit_unlock",
 		"r0 = rds_socket()\nrds_sendmsg(r0, 0x4)\nrds_sendmsg(r0, 0x3)\nrds_loop_xmit(r0)\n", 3)
 
-	// --- Full campaign, serial fuzzer.
-	f := core.NewFuzzer(campaignConfig())
-	f.Run(60)
-	ooo := 0
-	for _, r := range f.Reports.All() {
-		if r.OOO {
-			ooo++
-		}
-	}
-	g.Fuzzer = captureCampaignStats(f.Stats,
-		append([]string{}, f.Reports.Titles()...), ooo, f.Reports.Len(), f.CoverageEdges())
-
 	// --- Full campaign, parallel pool (4 workers; deterministic in seed).
 	pl := core.NewPool(campaignConfig(), 4)
 	pl.Run(64)
@@ -326,7 +310,6 @@ func TestEngineConformance(t *testing.T) {
 	check("kcsan_plain_titles", got.KCSANPlainTitles, want.KCSANPlainTitles)
 	check("kcsan_annotated_titles", got.KCSANAnnotatedTitles, want.KCSANAnnotatedTitles)
 	check("kcsan_bitlock_titles", got.KCSANBitlockTitles, want.KCSANBitlockTitles)
-	check("fuzzer_campaign", got.Fuzzer, want.Fuzzer)
 	check("pool_campaign", got.Pool, want.Pool)
 	check("migration_sbitmap", got.MigrationSbitmap, want.MigrationSbitmap)
 	check("deferred_wq", got.DeferredWQ, want.DeferredWQ)

@@ -37,14 +37,14 @@ func RunKCSANComparison(budget int) []KCSANRow {
 
 		// OZZ side.
 		b, _ := modules.FindBug(sw)
-		f := core.NewFuzzer(campaignConfig(core.Config{
+		pool := core.NewPool(campaignConfig(core.Config{
 			Modules: []string{mod}, Bugs: modules.Bugs(sw), Seed: 42, UseSeeds: true,
-		}))
+		}), 1)
 		want := b.Title
 		if want == "" {
 			want = b.SoftTitle
 		}
-		found := f.RunUntil(want, budget) != nil
+		found := pool.RunUntil(want, budget) != nil
 		return KCSANRow{
 			Scenario:   name,
 			Bug:        sw,

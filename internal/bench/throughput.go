@@ -31,7 +31,7 @@ type ThroughputResult struct {
 	// measurement window.
 	OzzRecycleRate float64
 	// Parallel holds the worker-scaling rows (Pool executor at each
-	// requested worker count); empty when only the serial comparison was
+	// requested worker count); empty when only the 1-worker comparison was
 	// measured.
 	Parallel []ParallelRow
 }
@@ -46,7 +46,7 @@ type ParallelRow struct {
 }
 
 // MeasureThroughput runs both fuzzers for (at least) the given wall-clock
-// budget per side and reports programs/second (serial comparison only).
+// budget per side and reports programs/second (1-worker comparison only).
 func MeasureThroughput(budget time.Duration, mods []string, bugs modules.BugSet) ThroughputResult {
 	return MeasureThroughputWorkers(budget, mods, bugs, nil)
 }
@@ -67,26 +67,26 @@ func MeasureThroughputWorkers(budget time.Duration, mods []string, bugs modules.
 	}
 	szRate := float64(sz.Execs) / time.Since(start).Seconds()
 
-	// OZZ: the full pipeline (STI + profile + hints + MTIs).
-	f := core.NewFuzzer(campaignConfig(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true}))
+	// OZZ: the full pipeline (STI + profile + hints + MTIs) on a 1-worker
+	// campaign executor, the sequential counterpart of the baseline.
+	p := core.NewPool(campaignConfig(core.Config{Modules: mods, Bugs: bugs, Seed: 1, UseSeeds: true}), 1)
 	start = time.Now()
-	for time.Since(start) < budget {
-		f.Step()
-	}
+	p.RunFor(budget)
 	elapsed := time.Since(start).Seconds()
-	ozzRate := float64(f.Stats.Steps) / elapsed
+	s := p.Stats()
+	ozzRate := float64(s.Steps) / elapsed
 
 	res := ThroughputResult{
 		SyzkallerTestsPerSec: szRate,
 		OzzTestsPerSec:       ozzRate,
 		SyzkallerRecycleRate: sz.RecycleRate(),
-		OzzRecycleRate:       f.Snapshot().Perf.RecycleRate(),
+		OzzRecycleRate:       s.Perf.RecycleRate(),
 	}
 	if ozzRate > 0 {
 		res.Slowdown = szRate / ozzRate
 	}
-	if f.Stats.Steps > 0 {
-		res.OzzMTIsPerProgram = float64(f.Stats.MTIs) / float64(f.Stats.Steps)
+	if s.Steps > 0 {
+		res.OzzMTIsPerProgram = float64(s.MTIs) / float64(s.Steps)
 	}
 
 	// Worker-scaling rows: same campaign Config through the Pool executor.

@@ -165,26 +165,7 @@ func programKeys(slices ...[]*syzlang.Program) map[string]struct{} {
 	return known
 }
 
-// WriteCorpus streams the coverage corpus to w.
-func (f *Fuzzer) WriteCorpus(w io.Writer) error {
-	return EncodePrograms(w, f.corpus)
-}
-
-// ReadCorpus parses a previously written corpus from r and enqueues its
-// programs ahead of random generation (like seed programs), skipping any
-// program whose Key is already queued or in the corpus — so re-reading an
-// appended corpus file (or repeated /sync rounds) can't bloat the corpus.
-// It returns the number of newly enqueued programs; on malformed input the
-// parseable programs are still imported and a typed error (ErrEmptyCorpus
-// or *CorpusError) describes the problem.
-func (f *Fuzzer) ReadCorpus(r io.Reader) (int, error) {
-	progs, err := DecodePrograms(r, f.target)
-	progs = dedupeAgainst(progs, programKeys(f.seeds, f.corpus))
-	f.seeds = append(f.seeds, progs...)
-	return len(progs), err
-}
-
-// WriteCorpus streams the pool campaign's coverage corpus to w.
+// WriteCorpus streams the campaign's coverage corpus to w.
 func (p *Pool) WriteCorpus(w io.Writer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -192,9 +173,13 @@ func (p *Pool) WriteCorpus(w io.Writer) error {
 }
 
 // ReadCorpus parses a previously written corpus from r and enqueues its
-// programs ahead of random generation, skipping duplicates by Program.Key
-// exactly like Fuzzer.ReadCorpus. Call before Run for deterministic
-// replay. It returns the number of newly enqueued programs.
+// programs ahead of random generation (like seed programs), skipping any
+// program whose Key is already queued or in the corpus — so re-reading an
+// appended corpus file (or repeated /sync rounds) can't bloat the corpus.
+// Call before Run for deterministic replay. It returns the number of newly
+// enqueued programs; on malformed input the parseable programs are still
+// imported and a typed error (ErrEmptyCorpus or *CorpusError) describes
+// the problem.
 func (p *Pool) ReadCorpus(r io.Reader) (int, error) {
 	progs, err := DecodePrograms(r, p.target)
 	p.mu.Lock()
@@ -202,30 +187,4 @@ func (p *Pool) ReadCorpus(r io.Reader) (int, error) {
 	p.seeds = append(p.seeds, progs...)
 	p.mu.Unlock()
 	return len(progs), err
-}
-
-// ExportCorpus serializes the corpus to a string (string-level wrapper
-// around WriteCorpus, kept for tests and tooling).
-func (f *Fuzzer) ExportCorpus() string {
-	var sb strings.Builder
-	_ = EncodePrograms(&sb, f.corpus)
-	return sb.String()
-}
-
-// ImportCorpus parses an exported corpus from a string (wrapper around
-// ReadCorpus) and returns the count of imported programs, silently
-// tolerating malformed blocks.
-func (f *Fuzzer) ImportCorpus(src string) int {
-	n, _ := f.ReadCorpus(strings.NewReader(src))
-	return n
-}
-
-// CorpusPrograms returns copies of the current corpus programs (testing and
-// tooling).
-func (f *Fuzzer) CorpusPrograms() []*syzlang.Program {
-	out := make([]*syzlang.Program, len(f.corpus))
-	for i, p := range f.corpus {
-		out[i] = p.Clone()
-	}
-	return out
 }

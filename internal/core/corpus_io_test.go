@@ -118,38 +118,33 @@ func TestDecodeProgramsDedupsByKey(t *testing.T) {
 
 // TestReadCorpusIdempotent pins the /sync-round invariant: re-reading the
 // same corpus (or an appended file repeating earlier programs) enqueues
-// nothing new, for both executors.
+// nothing new.
 func TestReadCorpusIdempotent(t *testing.T) {
 	src := corpusProgA + "\n" + corpusProgB
 
-	f := NewFuzzer(Config{Modules: []string{"watchqueue"}, Seed: 1})
-	if n, err := f.ReadCorpus(strings.NewReader(src)); n != 2 || err != nil {
-		t.Fatalf("first ReadCorpus = (%d, %v), want (2, nil)", n, err)
-	}
-	if n, _ := f.ReadCorpus(strings.NewReader(src)); n != 0 {
-		t.Fatalf("second ReadCorpus enqueued %d duplicates", n)
-	}
-
 	p := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 1}, 2)
 	if n, err := p.ReadCorpus(strings.NewReader(src)); n != 2 || err != nil {
-		t.Fatalf("pool first ReadCorpus = (%d, %v), want (2, nil)", n, err)
+		t.Fatalf("first ReadCorpus = (%d, %v), want (2, nil)", n, err)
 	}
 	if n, _ := p.ReadCorpus(strings.NewReader(src)); n != 0 {
-		t.Fatalf("pool second ReadCorpus enqueued %d duplicates", n)
+		t.Fatalf("second ReadCorpus enqueued %d duplicates", n)
 	}
 }
 
 // TestReadCorpusSkipsCorpusDuplicates: a program already admitted to the
 // coverage corpus is not re-enqueued as a seed on resume.
 func TestReadCorpusSkipsCorpusDuplicates(t *testing.T) {
-	f := NewFuzzer(Config{Modules: []string{"watchqueue"}, Seed: 21, UseSeeds: true})
-	f.Run(30)
-	if len(f.CorpusPrograms()) == 0 {
+	p := NewPool(Config{Modules: []string{"watchqueue"}, Seed: 21, UseSeeds: true}, 2)
+	p.Run(30)
+	if p.CorpusLen() == 0 {
 		t.Fatal("campaign built no corpus")
 	}
-	exported := f.ExportCorpus()
-	// Re-importing its own corpus into the same fuzzer is a no-op.
-	if n, err := f.ReadCorpus(strings.NewReader(exported)); n != 0 || err != nil {
+	var exported strings.Builder
+	if err := p.WriteCorpus(&exported); err != nil {
+		t.Fatal(err)
+	}
+	// Re-importing its own corpus into the same campaign is a no-op.
+	if n, err := p.ReadCorpus(strings.NewReader(exported.String())); n != 0 || err != nil {
 		t.Fatalf("self re-import = (%d, %v), want (0, nil)", n, err)
 	}
 }

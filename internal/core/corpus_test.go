@@ -9,34 +9,33 @@ import (
 
 // findBug runs a seeded campaign against a single module with one bug
 // switch active and returns the matching report (nil if not found).
-func findBug(t *testing.T, b modules.BugInfo, extraSwitches ...string) *testReport {
+func findBug(t *testing.T, b modules.BugInfo) *testReport {
 	t.Helper()
-	r, _ := findBugUnder(t, b, "", extraSwitches...)
+	r, _ := findBugUnder(t, b, "")
 	return r
 }
 
 // findBugUnder is findBug with the campaign's engine strategy selectable
 // ("" = default OOO); it also returns the campaign counters so callers can
 // assert on strategy activity (Stats.Migrations, Stats.DeferredTasks).
-func findBugUnder(t *testing.T, b modules.BugInfo, strategy string, extraSwitches ...string) (*testReport, Stats) {
+func findBugUnder(t *testing.T, b modules.BugInfo, strategy string) (*testReport, Stats) {
 	t.Helper()
-	sw := append([]string{b.Switch}, extraSwitches...)
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Modules:  []string{b.Module},
-		Bugs:     modules.Bugs(sw...),
+		Bugs:     modules.Bugs(b.Switch),
 		Seed:     42,
 		UseSeeds: true,
 		Strategy: strategy,
-	})
+	}, 2)
 	want := b.Title
 	if want == "" {
 		want = b.SoftTitle
 	}
-	r := f.RunUntil(want, 120)
+	r := p.RunUntil(want, 120)
 	if r == nil {
-		return nil, f.Stats
+		return nil, p.Stats()
 	}
-	return &testReport{Title: r.Title, Type: r.Type, OOO: r.OOO, HintRank: r.HintRank, Strategy: r.Strategy}, f.Stats
+	return &testReport{Title: r.Title, Type: r.Type, OOO: r.OOO, HintRank: r.HintRank, Strategy: r.Strategy}, p.Stats()
 }
 
 type testReport struct {
@@ -92,12 +91,12 @@ func TestCorpusAllBugsFound(t *testing.T) {
 // TestCleanCorpusQuiet fuzzes every module with all barriers present: no
 // OOO report may appear (no false positives across the whole corpus).
 func TestCleanCorpusQuiet(t *testing.T) {
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Seed:     7,
 		UseSeeds: true,
-	})
-	f.Run(60)
-	for _, r := range f.Reports.All() {
+	}, 2)
+	p.Run(60)
+	for _, r := range p.Reports.All() {
 		if r.OOO {
 			t.Errorf("false positive on fully-fixed corpus: %s (%s)", r.Title, r.HypBarrier)
 		}
@@ -105,7 +104,7 @@ func TestCleanCorpusQuiet(t *testing.T) {
 }
 
 // TestSbitmapNotReproducedWithoutMigration mirrors §6.2's negative result:
-// the per-CPU sbitmap bug is NOT reproducible with pinned threads...
+// the per-CPU sbitmap bug is NOT reproducible with pinned threads.
 func TestSbitmapNotReproducedWithoutMigration(t *testing.T) {
 	b, ok := modules.FindBug("sbitmap:freed_order")
 	if !ok {
@@ -116,26 +115,9 @@ func TestSbitmapNotReproducedWithoutMigration(t *testing.T) {
 	}
 }
 
-// TestSbitmapReproducedWithMigrationAssist ...and IS reproducible once the
-// two threads resolve the per-CPU hint from the same CPU (the paper's
-// manual kernel modification).
-func TestSbitmapReproducedWithMigrationAssist(t *testing.T) {
-	b, ok := modules.FindBug("sbitmap:freed_order")
-	if !ok {
-		t.Fatal("sbitmap bug not registered")
-	}
-	r := findBug(t, b, "sbitmap:migration_assist")
-	if r == nil {
-		t.Fatal("sbitmap bug not reproduced even with the migration assist")
-	}
-	if r.Type != "S-S" {
-		t.Errorf("expected S-S, got %s", r.Type)
-	}
-}
-
 // TestSbitmapReproducedByMigrationStrategy is the tentpole result: the
-// Migration strategy reproduces Table 4 #6 ORGANICALLY — no migration
-// assist, no kernel modification. The sequential profile shares the
+// Migration strategy reproduces Table 4 #6 ORGANICALLY — no kernel
+// modification. The sequential profile shares the
 // per-CPU hint (both calls ran on CPU 0), Algorithm 1 emits a
 // migration-annotated hint, and MigrateAt moves the observer onto the
 // prefix CPU at the scheduling point without flushing the reorderer's
@@ -242,28 +224,27 @@ func TestSoakCampaign(t *testing.T) {
 			expected[b.SoftTitle] = b.ID
 		}
 	}
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Bugs:     modules.Bugs(switches...),
 		Seed:     99,
 		UseSeeds: true,
-	})
-	deadlineSteps := 3000
-	for n := 0; n < deadlineSteps; n++ {
-		f.Step()
-		// Early exit once everything is found.
-		all := true
+	}, 0)
+	allFound := func() bool {
 		for title := range expected {
-			if f.Reports.Get(title) == nil {
-				all = false
-				break
+			if p.Reports.Get(title) == nil {
+				return false
 			}
 		}
-		if all {
-			break
-		}
+		return true
+	}
+	// Whole batches until everything is found (early exit) or the step
+	// budget is spent.
+	const deadlineSteps = 3000
+	for p.Stats().Steps < deadlineSteps && !allFound() {
+		p.Run(batchSize)
 	}
 	for title, id := range expected {
-		if f.Reports.Get(title) == nil {
+		if p.Reports.Get(title) == nil {
 			t.Errorf("soak campaign missed %s (%q)", id, title)
 		}
 	}
@@ -274,7 +255,7 @@ func TestSoakCampaign(t *testing.T) {
 	// fixed module. We check the simpler global invariant: at least as
 	// many OOO findings as expected titles, all discovered titles unique.
 	ooo := 0
-	for _, r := range f.Reports.All() {
+	for _, r := range p.Reports.All() {
 		if r.OOO {
 			ooo++
 		}
@@ -282,6 +263,7 @@ func TestSoakCampaign(t *testing.T) {
 	if ooo < len(expected) {
 		t.Errorf("only %d OOO findings for %d expected bugs", ooo, len(expected))
 	}
+	s := p.Stats()
 	t.Logf("soak: %d steps, %d MTIs, %d titles (%d OOO), %d coverage edges",
-		f.Stats.Steps, f.Stats.MTIs, f.Reports.Len(), ooo, f.CoverageEdges())
+		s.Steps, s.MTIs, p.Reports.Len(), ooo, p.CoverageEdges())
 }

@@ -2,18 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"time"
 
 	"ozz/internal/engine"
-	"ozz/internal/hints"
 	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
-	"ozz/internal/repair"
-	"ozz/internal/report"
-	"ozz/internal/syzlang"
 )
 
 // Config parameterizes a fuzzing campaign.
@@ -78,9 +72,9 @@ type Config struct {
 	Events *obs.EventLog
 }
 
-// normalize resolves the campaign-level defaults shared by the serial
-// fuzzer and the parallel pool. Kernel-level defaults (NrCPU) resolve in
-// engine.Config.normalize — zero passes through untouched here.
+// normalize resolves the campaign-level defaults. Kernel-level defaults
+// (NrCPU) resolve in engine.Config.normalize — zero passes through
+// untouched here.
 func (c *Config) normalize() {
 	if c.ProgLen == 0 {
 		c.ProgLen = 4
@@ -96,8 +90,8 @@ func (c *Config) normalize() {
 	}
 }
 
-// newEnvFromConfig builds the execution environment both campaign
-// executors share, forwarding the config's kernel knobs and registry.
+// newEnvFromConfig builds the campaign's execution environment,
+// forwarding the config's kernel knobs and registry.
 func newEnvFromConfig(cfg Config) *Env {
 	env := NewEnvObs(cfg.Modules, cfg.Bugs, cfg.Obs)
 	env.NrCPU = cfg.NrCPU
@@ -146,7 +140,7 @@ type Stats struct {
 // PerfStats are the scheduling-dependent campaign metrics (§6.3.2
 // throughput and the executor's state-reuse rates).
 type PerfStats struct {
-	Workers         int           // campaign executor width (the pool's worker count; 1 serial)
+	Workers         int           // campaign executor width (the pool's worker count)
 	Elapsed         time.Duration // wall-clock time covered by the counters below
 	TestsPerSec     float64       // campaign steps per second
 	ExecsPerSec     float64       // kernel executions per second (all workers)
@@ -187,386 +181,4 @@ func (s Stats) MetricsLine() string {
 		"metrics: %.1f tests/s, %.1f exec/s/worker (%d workers), sti-cache %.0f%% hit, kernel-pool %.0f%% recycled",
 		s.Perf.TestsPerSec, perWorker, s.Perf.Workers,
 		100*s.Perf.STICacheHitRate(), 100*s.Perf.RecycleRate())
-}
-
-// Fuzzer is OZZ's fuzzing loop (Fig. 6): generate STI -> profile ->
-// calculate scheduling hints -> run MTIs -> collect OOO bug reports.
-type Fuzzer struct {
-	cfg    Config
-	env    *Env
-	target *syzlang.Target
-	rng    *rand.Rand
-	start  time.Time
-	co     *campaignObs
-
-	corpus []*syzlang.Program
-	seeds  []*syzlang.Program
-	cov    map[uint64]struct{}
-
-	// repairs holds the structured fence-repair result per finding title
-	// (Config.Repair campaigns only).
-	repairs map[string]*repair.Result
-
-	// Reports collects deduplicated findings.
-	Reports *report.Set
-	// Stats counts work done.
-	Stats Stats
-}
-
-// NewFuzzer builds a fuzzer for the configuration.
-func NewFuzzer(cfg Config) *Fuzzer {
-	cfg.normalize()
-	env := newEnvFromConfig(cfg)
-	f := &Fuzzer{
-		cfg:     cfg,
-		env:     env,
-		target:  modules.Target(cfg.Modules...),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		start:   time.Now(),
-		co:      newCampaignObs(env.Obs(), cfg.Events),
-		cov:     make(map[uint64]struct{}),
-		repairs: make(map[string]*repair.Result),
-		Reports: report.NewSet(),
-	}
-	// Claim executor width 1 only if no pool sharing this registry
-	// already claimed its real width.
-	f.co.claimWorkers(1, false)
-	if cfg.UseSeeds {
-		for _, src := range modules.Seeds(cfg.Modules...) {
-			if p, err := f.target.Parse(src); err == nil {
-				f.seeds = append(f.seeds, p)
-			}
-		}
-	}
-	return f
-}
-
-// Env exposes the execution environment (for tools layered on the fuzzer).
-func (f *Fuzzer) Env() *Env { return f.env }
-
-// Obs returns the metrics registry the campaign publishes into.
-func (f *Fuzzer) Obs() *obs.Registry { return f.co.reg }
-
-// Snapshot returns the campaign counters with the Perf block filled in
-// from the registry: the environment's reuse counters, the campaign
-// worker-width gauge, and the elapsed wall clock. Reading the width from
-// the registry (instead of hardcoding 1) makes Stats views over a shared
-// registry report the pool's actual worker count.
-func (f *Fuzzer) Snapshot() Stats {
-	s := f.Stats
-	s.Perf.Workers = f.co.workersValue()
-	s.Perf.Elapsed = time.Since(f.start)
-	s.Perf.STICacheHits, s.Perf.STICacheMisses = f.env.STICacheCounters()
-	s.Perf.KernelsRecycled, s.Perf.KernelsBuilt = f.env.KernelCounters()
-	if sec := s.Perf.Elapsed.Seconds(); sec > 0 {
-		s.Perf.TestsPerSec = float64(s.Steps) / sec
-		s.Perf.ExecsPerSec = float64(s.Perf.KernelsRecycled+s.Perf.KernelsBuilt) / sec
-	}
-	return s
-}
-
-// nextProgram picks the next single-threaded input: pending seeds first,
-// then mutations of the coverage corpus, then fresh generations.
-func (f *Fuzzer) nextProgram() *syzlang.Program {
-	if len(f.seeds) > 0 {
-		p := f.seeds[0]
-		f.seeds = f.seeds[1:]
-		return p
-	}
-	if len(f.corpus) > 0 && f.rng.Intn(3) != 0 {
-		base := f.corpus[f.rng.Intn(len(f.corpus))]
-		return f.target.Mutate(f.rng, base)
-	}
-	// Focus each generated program on one module (syzkaller's call
-	// priorities have the same effect): concurrent pairs then operate on
-	// shared state, which is what the hypothetical barrier test needs.
-	mods := f.target.Modules()
-	return f.target.GenerateFocused(f.rng, f.cfg.ProgLen, mods[f.rng.Intn(len(mods))])
-}
-
-// mergeCov merges run coverage into the global map and reports whether new
-// edges appeared.
-func (f *Fuzzer) mergeCov(cov map[uint64]struct{}) bool {
-	grew := false
-	for e := range cov {
-		if _, ok := f.cov[e]; !ok {
-			f.cov[e] = struct{}{}
-			grew = true
-		}
-	}
-	return grew
-}
-
-// CoverageEdges returns the number of distinct edges covered so far.
-func (f *Fuzzer) CoverageEdges() int { return len(f.cov) }
-
-// Step runs one fuzzer iteration and returns the new reports it produced.
-func (f *Fuzzer) Step() []*report.Report {
-	f.Stats.Steps++
-	f.co.steps.Inc()
-	stepIdx := f.Stats.Steps
-	gStart := time.Now()
-	p := f.nextProgram()
-	observe(f.co.stGenerate, gStart)
-
-	// Phase 1: single-threaded profiling run (§4.2), memoized — repeat
-	// programs (seed replays, stable mutants) skip re-profiling.
-	pStart := time.Now()
-	sti := f.env.RunSTICached(p)
-	observe(f.co.stProfile, pStart)
-	f.Stats.STIs++
-	f.co.stis.Inc()
-	var found []*report.Report
-	if f.mergeCov(sti.Cov) {
-		f.Stats.NewCov++
-		f.co.newCov.Inc()
-		f.corpus = append(f.corpus, p)
-		f.Stats.CorpusLen = len(f.corpus)
-	}
-	defer func() {
-		f.co.covEdges.Set(float64(len(f.cov)))
-		f.co.corpusLen.Set(float64(len(f.corpus)))
-		f.co.ev.Info(0, "step", map[string]any{
-			"step": stepIdx, "mtis": f.Stats.MTIs, "new_reports": len(found),
-			"corpus": len(f.corpus), "cov_edges": len(f.cov),
-		})
-	}()
-	if sti.Crash != nil {
-		r := &report.Report{
-			Title:   sti.Crash.Title,
-			Oracle:  sti.Crash.Oracle,
-			OOO:     false,
-			Program: p.String(),
-		}
-		added := f.Reports.Add(r)
-		f.co.reportOutcome(added, r.OOO)
-		if added {
-			found = append(found, r)
-		}
-		return found // crashing input: nothing to pair
-	}
-	for _, s := range sti.Soft {
-		r := &report.Report{Title: s, Oracle: "semantic", OOO: false, Program: p.String()}
-		added := f.Reports.Add(r)
-		f.co.reportOutcome(added, r.OOO)
-		if added {
-			found = append(found, r)
-		}
-	}
-
-	// Phase 2+3: scheduling hints and multi-threaded runs (§4.3, §4.4).
-	pairs := pairOrder(len(p.Calls))
-	if len(pairs) > f.cfg.MaxPairs {
-		pairs = pairs[:f.cfg.MaxPairs]
-	}
-	for _, pr := range pairs {
-		i, j := pr[0], pr[1]
-		if len(sti.CallEvents[i]) == 0 || len(sti.CallEvents[j]) == 0 {
-			continue
-		}
-		hStart := time.Now()
-		hs := hints.CalculateModel(sti.CallEvents[i], sti.CallEvents[j], f.cfg.Model)
-		observe(f.co.stHints, hStart)
-		f.Stats.Hints += uint64(len(hs))
-		f.co.hintsTotal.Add(uint64(len(hs)))
-		orderHints(hs, f.cfg.HintOrder, f.rng)
-		if len(hs) > f.cfg.MaxHintsPerPair {
-			hs = hs[:f.cfg.MaxHintsPerPair]
-		}
-		for rank, h := range hs {
-			mStart := time.Now()
-			res := f.env.RunMTI(MTIOpts{Prog: p, I: i, J: j, Hint: h})
-			observe(f.co.stMTI, mStart)
-			f.Stats.MTIs++
-			f.co.mtis.Inc()
-			f.Stats.Migrations += uint64(res.Migrations)
-			f.Stats.DeferredTasks += uint64(res.DeferredTasks)
-			if !res.Fired {
-				f.Stats.Vacuous++
-				f.co.vacuous.Inc()
-			}
-			f.mergeCov(res.Cov)
-			found = append(found, f.harvest(p, i, j, h, rank, res)...)
-		}
-	}
-	return found
-}
-
-// harvest converts an MTI result into reports.
-func (f *Fuzzer) harvest(p *syzlang.Program, i, j int, h *hints.Hint, rank int, res *MTIResult) []*report.Report {
-	var found []*report.Report
-	add := func(r *report.Report) {
-		added := f.Reports.Add(r)
-		f.co.reportOutcome(added, r.OOO)
-		if added {
-			found = append(found, r)
-		}
-	}
-	if res.Crash != nil {
-		ooo := !res.PrefixCrash
-		if ooo {
-			// Triage: re-run the same schedule without reordering
-			// directives. If the crash still reproduces in order,
-			// it is a plain interleaving race, not an OOO bug.
-			tStart := time.Now()
-			rerun := f.env.RunMTI(MTIOpts{Prog: p, I: i, J: j, Hint: h, NoReorder: true})
-			observe(f.co.stTriage, tStart)
-			if rerun.Crash != nil && rerun.Crash.Title == res.Crash.Title {
-				ooo = false
-			}
-		}
-		r := &report.Report{
-			Title:   res.Crash.Title,
-			Oracle:  res.Crash.Oracle,
-			OOO:     ooo,
-			Program: p.String(),
-		}
-		if r.OOO {
-			r.Type = h.Type()
-			r.Strategy = nonDefaultStrategy(f.cfg.Strategy)
-			r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
-			for _, s := range h.Reorder {
-				r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
-			}
-			r.Pair = PairName(p, i, j)
-			r.HintRank = rank + 1
-			r.Tests = int(f.Stats.MTIs)
-			if f.Reports.Get(r.Title) == nil {
-				r.Models = f.probeModels(p, i, j, h, func(pr *MTIResult) bool {
-					return pr.Crash != nil && pr.Crash.Title == r.Title
-				})
-				if rr := repairFinding(f.env, &f.cfg, f.co, p, i, j, h, r.Title, false); rr != nil {
-					r.SuggestedFix = rr.Lines()
-					f.repairs[r.Title] = rr
-				}
-			}
-		}
-		add(r)
-	}
-	for _, s := range res.Soft {
-		r := &report.Report{
-			Title: s, Oracle: "semantic", OOO: true,
-			Type:       h.Type(),
-			Strategy:   nonDefaultStrategy(f.cfg.Strategy),
-			HypBarrier: fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test),
-			Pair:       PairName(p, i, j),
-			Program:    p.String(),
-			HintRank:   rank + 1,
-			Tests:      int(f.Stats.MTIs),
-		}
-		if f.Reports.Get(r.Title) == nil {
-			r.Models = f.probeModels(p, i, j, h, func(pr *MTIResult) bool {
-				for _, ps := range pr.Soft {
-					if ps == s {
-						return true
-					}
-				}
-				return false
-			})
-			if rr := repairFinding(f.env, &f.cfg, f.co, p, i, j, h, r.Title, true); rr != nil {
-				r.SuggestedFix = rr.Lines()
-				f.repairs[r.Title] = rr
-			}
-		}
-		add(r)
-	}
-	return found
-}
-
-// RepairResult returns the structured fence-repair search result for a
-// finding's title, or nil when repair is disabled or the title is
-// unknown.
-func (f *Fuzzer) RepairResult(title string) *repair.Result { return f.repairs[title] }
-
-// repairFinding runs the fence-repair search for a newly-discovered OOO
-// finding (both campaign executors call it under the title-is-new guard).
-// It returns nil when Config.Repair is off. The reproducer's sequential
-// profile comes from the memoized STI cache, so the extra cost is the
-// search itself.
-func repairFinding(env *Env, cfg *Config, co *campaignObs, p *syzlang.Program, i, j int, h *hints.Hint, title string, soft bool) *repair.Result {
-	if !cfg.Repair {
-		return nil
-	}
-	start := time.Now()
-	defer observe(co.stRepair, start)
-	sti := env.RunSTICached(p)
-	return repair.InVivo(repair.InVivoInput{
-		Prog:   p,
-		I:      i,
-		J:      j,
-		Hint:   h,
-		Events: sti.CallEvents,
-		Title:  title,
-		Soft:   soft,
-	}, env, repair.Options{Model: cfg.Model, Metrics: co.repair})
-}
-
-// nonDefaultStrategy returns the campaign's strategy label when it is not
-// the default OOO executor, "" otherwise — reports carry only the
-// non-default case, so default-campaign outputs (and their goldens) are
-// byte-identical to before the strategy knob existed.
-func nonDefaultStrategy(name string) string {
-	if name == "ooo" {
-		return ""
-	}
-	return name
-}
-
-// probeModels is the serial fuzzer's cross-model probe; the divergence
-// counter is incremented here because the caller guards on the title
-// being globally new.
-func (f *Fuzzer) probeModels(p *syzlang.Program, i, j int, h *hints.Hint, reproduced func(*MTIResult) bool) []string {
-	models := probeModels(f.env, f.cfg.Model, p, i, j, h, reproduced)
-	if len(models) < len(memmodel.All()) {
-		f.co.modelDivergences.Inc()
-	}
-	return models
-}
-
-// probeModels is the cross-model probe: it re-runs a newly-found OOO
-// bug's MTI under every OTHER registered memory model and returns the
-// sorted names of the models under which the finding reproduces — the
-// report's "reorders under" line. The campaign's own model is included
-// without a re-run (the finding just reproduced under it). Probe runs
-// are observation only: they touch neither the deterministic Stats
-// counters nor the coverage corpus, so campaign goldens are unaffected.
-// Safe to call concurrently (pool workers probe job-side).
-func probeModels(env *Env, base *memmodel.Table, p *syzlang.Program, i, j int, h *hints.Hint, reproduced func(*MTIResult) bool) []string {
-	models := []string{base.Name()}
-	for _, mm := range memmodel.All() {
-		if mm == base {
-			continue
-		}
-		if reproduced(env.RunMTIUnder(MTIOpts{Prog: p, I: i, J: j, Hint: h}, mm)) {
-			models = append(models, mm.Name())
-		}
-	}
-	sort.Strings(models)
-	return models
-}
-
-// Run executes steps until the budget is exhausted, returning all new
-// reports.
-func (f *Fuzzer) Run(steps int) []*report.Report {
-	var all []*report.Report
-	for n := 0; n < steps; n++ {
-		all = append(all, f.Step()...)
-	}
-	return all
-}
-
-// RunUntil executes steps until a report with the given title appears (or
-// the budget runs out) and returns that report.
-func (f *Fuzzer) RunUntil(title string, maxSteps int) *report.Report {
-	if r := f.Reports.Get(title); r != nil {
-		return r
-	}
-	for n := 0; n < maxSteps; n++ {
-		for _, r := range f.Step() {
-			if r.Title == title {
-				return r
-			}
-		}
-	}
-	return nil
 }

@@ -60,7 +60,7 @@ func newCampaignObs(reg *obs.Registry, ev *obs.EventLog) *campaignObs {
 	c.corpusLen = reg.Gauge("ozz_campaign_corpus_programs",
 		"Programs in the coverage corpus.")
 	c.workers = reg.Gauge("ozz_campaign_workers",
-		"Campaign executor width (1 for the serial fuzzer; the pool's worker count otherwise).")
+		"Campaign executor width (the pool's worker count).")
 
 	outcomes := reg.CounterVec("ozz_reports_total",
 		"Crash/soft reports by dedup outcome at the campaign report set.", "outcome")
@@ -100,18 +100,5 @@ func (c *campaignObs) reportOutcome(added, ooo bool) {
 	c.reportsNew.Inc()
 	if ooo {
 		c.reportsOOO.Inc()
-	}
-}
-
-// workersValue reads the campaign worker-width gauge as an int.
-func (c *campaignObs) workersValue() int { return int(c.workers.Value()) }
-
-// claimWorkers sets the worker-width gauge. The serial fuzzer only claims
-// width 1 when nothing else (a pool sharing the registry) has claimed a
-// real width — so Stats views over a shared registry report the pool's
-// actual worker count, not a hardcoded 1.
-func (c *campaignObs) claimWorkers(n int, force bool) {
-	if force || c.workers.Value() == 0 {
-		c.workers.Set(float64(n))
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -200,10 +202,11 @@ func (s *SafeReportSet) Titles() []string {
 	return s.set.Titles()
 }
 
-// Pool is the parallel campaign executor: N workers execute OZZ pipeline
-// steps (STI profiling, hint calculation, hypothetical-barrier MTI runs)
-// concurrently over a shared Env, publishing into a sharded coverage map
-// and a deduplicated, concurrency-guarded report set.
+// Pool is the campaign executor — OZZ's fuzzing loop (Fig. 6): generate
+// an STI, profile it, calculate scheduling hints, run the MTIs, and collect
+// OOO bug reports. N workers execute these pipeline steps concurrently
+// over a shared Env, publishing into a sharded coverage map and a
+// deduplicated, concurrency-guarded report set.
 //
 // Determinism: each step's random stream is derived from (campaign seed,
 // step index) — not from a shared sequential generator — and results are
@@ -244,9 +247,8 @@ type Pool struct {
 	mergeMaps  []map[uint64]struct{}
 }
 
-// NewPool builds a parallel campaign executor. workers <= 0 selects
-// runtime.GOMAXPROCS(0). The Config fields have the same meaning as for
-// NewFuzzer.
+// NewPool builds a campaign executor. workers <= 0 selects
+// runtime.GOMAXPROCS(0).
 func NewPool(cfg Config, workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -263,9 +265,7 @@ func NewPool(cfg Config, workers int) *Pool {
 		Reports: NewSafeReportSet(),
 		repairs: make(map[string]*repair.Result),
 	}
-	// The pool's width is authoritative for any Stats view over this
-	// registry (the Snapshot-hardcodes-1 fix).
-	p.co.claimWorkers(workers, true)
+	p.co.workers.Set(float64(workers))
 	if cfg.UseSeeds {
 		for _, src := range modules.Seeds(cfg.Modules...) {
 			if sp, err := p.target.Parse(src); err == nil {
@@ -374,7 +374,8 @@ type job struct {
 // jobReport is one finding produced inside a job. rebaseTests marks
 // reports whose Tests field counts job-local MTIs at discovery time; the
 // merger rebases it onto the campaign-cumulative count in index order, so
-// the final value matches what a serial run would have reported.
+// the final value is the campaign's MTI count at discovery at any worker
+// count.
 type jobReport struct {
 	r           *report.Report
 	rebaseTests bool
@@ -415,10 +416,11 @@ func (s *stepRand) reseed(seed int64, idx uint64) *rand.Rand {
 	return s.r
 }
 
-// planJob picks step jb.idx's program exactly like Fuzzer.nextProgram,
-// from the corpus as of the step's batch boundary, drawing from rng (the
-// step's stream, left advanced past program selection). It runs on the
-// worker: nothing here touches shared campaign state.
+// planJob picks step jb.idx's program — a pending seed first, else a
+// mutation of the corpus as of the step's batch boundary (two times in
+// three), else a fresh generation — drawing from rng (the step's stream,
+// left advanced past program selection). It runs on the worker: nothing
+// here touches shared campaign state.
 func (p *Pool) planJob(jb job, rng *rand.Rand) *syzlang.Program {
 	switch {
 	case jb.seed != nil:
@@ -426,15 +428,20 @@ func (p *Pool) planJob(jb job, rng *rand.Rand) *syzlang.Program {
 	case len(jb.corpus) > 0 && rng.Intn(3) != 0:
 		return p.target.Mutate(rng, jb.corpus[rng.Intn(len(jb.corpus))])
 	default:
+		// Focus each generated program on one module (syzkaller's call
+		// priorities have the same effect): concurrent pairs then operate
+		// on shared state, which is what the hypothetical barrier test
+		// needs.
 		mods := p.target.Modules()
 		return p.target.GenerateFocused(rng, p.cfg.ProgLen, mods[rng.Intn(len(mods))])
 	}
 }
 
-// runJob executes one campaign step: program choice, STI profile
-// (cached), scheduling hints, and the pair's MTI runs — the worker-side
-// mirror of Fuzzer.Step, writing only to the job-local result. sr is the
-// worker's reusable stream; wid tags its event stream (1..Workers).
+// runJob executes one campaign step: program choice, STI profile (cached;
+// repeat programs such as seed replays and stable mutants skip
+// re-profiling, §4.2), scheduling hints, and the pair's MTI runs (§4.3,
+// §4.4), writing only to the job-local result. sr is the worker's reusable
+// stream; wid tags its event stream (1..Workers).
 func (p *Pool) runJob(jb job, sr *stepRand, wid int) jobResult {
 	gStart := time.Now()
 	rng := sr.reseed(p.cfg.Seed, jb.idx)
@@ -509,83 +516,134 @@ func (p *Pool) runJob(jb job, sr *stepRand, wid int) jobResult {
 	return res
 }
 
-// harvestJob converts an MTI result into job-local reports — the mirror of
-// Fuzzer.harvest, with Tests counted job-locally (rebased at merge).
+// harvestJob converts an MTI result into job-local reports, with Tests
+// counted job-locally (rebased at merge). A crash the in-order triage
+// re-run reproduces, or one that fired before the scheduling point, is a
+// plain crash report; every other crash and every soft (semantic)
+// violation is an OOO finding built by oooReport.
 func (p *Pool) harvestJob(res *jobResult, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, mres *MTIResult) {
-	if mres.Crash != nil {
+	if c := mres.Crash; c != nil {
 		ooo := !mres.PrefixCrash
 		if ooo {
+			// Triage: re-run the same schedule without reordering
+			// directives. If the crash still reproduces in order, it is a
+			// plain interleaving race, not an OOO bug.
 			tStart := time.Now()
 			rerun := p.env.RunMTI(MTIOpts{Prog: prog, I: i, J: j, Hint: h, NoReorder: true})
 			observe(p.co.stTriage, tStart)
-			if rerun.Crash != nil && rerun.Crash.Title == mres.Crash.Title {
-				ooo = false
-			}
+			ooo = rerun.Crash == nil || rerun.Crash.Title != c.Title
 		}
-		r := &report.Report{
-			Title:   mres.Crash.Title,
-			Oracle:  mres.Crash.Oracle,
-			OOO:     ooo,
-			Program: prog.String(),
+		if ooo {
+			p.oooReport(res, prog, i, j, h, rank, c.Title, c.Oracle, false)
+		} else {
+			res.reports = append(res.reports, jobReport{r: &report.Report{
+				Title: c.Title, Oracle: c.Oracle, OOO: false, Program: prog.String(),
+			}})
 		}
-		var rr *repair.Result
-		if r.OOO {
-			r.Type = h.Type()
-			r.Strategy = nonDefaultStrategy(p.cfg.Strategy)
-			r.HypBarrier = fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test)
-			for _, s := range h.Reorder {
-				r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
-			}
-			r.Pair = PairName(prog, i, j)
-			r.HintRank = rank + 1
-			r.Tests = int(res.mtis)
-			// Cross-model probe, job-side so the runs parallelize with the
-			// rest of the batch and Models is populated before the report is
-			// ever published. The Get is a cheap filter against re-probing a
-			// title an earlier batch already merged; duplicates racing within
-			// one in-flight batch probe redundantly (same deterministic
-			// result), and only the merge-ordered first instance survives.
-			if p.Reports.Get(r.Title) == nil {
-				r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, func(pr *MTIResult) bool {
-					return pr.Crash != nil && pr.Crash.Title == r.Title
-				})
-				// Fence repair under the same guard: racing in-batch
-				// duplicates search redundantly but deterministically, and
-				// only the merge-ordered first instance's result is kept.
-				if rr = repairFinding(p.env, &p.cfg, p.co, prog, i, j, h, r.Title, false); rr != nil {
-					r.SuggestedFix = rr.Lines()
-				}
-			}
-		}
-		res.reports = append(res.reports, jobReport{r: r, rebaseTests: r.OOO, repair: rr})
 	}
 	for _, s := range mres.Soft {
-		r := &report.Report{
-			Title: s, Oracle: "semantic", OOO: true,
-			Type:       h.Type(),
-			Strategy:   nonDefaultStrategy(p.cfg.Strategy),
-			HypBarrier: fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test),
-			Pair:       PairName(prog, i, j),
-			Program:    prog.String(),
-			HintRank:   rank + 1,
-			Tests:      int(res.mtis),
-		}
-		var rr *repair.Result
-		if p.Reports.Get(r.Title) == nil {
-			r.Models = probeModels(p.env, p.cfg.Model, prog, i, j, h, func(pr *MTIResult) bool {
-				for _, ps := range pr.Soft {
-					if ps == s {
-						return true
-					}
-				}
-				return false
-			})
-			if rr = repairFinding(p.env, &p.cfg, p.co, prog, i, j, h, r.Title, true); rr != nil {
-				r.SuggestedFix = rr.Lines()
-			}
-		}
-		res.reports = append(res.reports, jobReport{r: r, rebaseTests: true, repair: rr})
+		p.oooReport(res, prog, i, j, h, rank, s, "semantic", true)
 	}
+}
+
+// oooReport is the one place an OOO finding becomes a report: the
+// hypothetical-barrier diagnosis of the triggering hint, plus — for a title
+// no earlier batch merged — the cross-model probe and the fence repair.
+// Crash findings list the reordered sites; soft findings do not.
+//
+// The probe and repair run job-side so they parallelize with the rest of
+// the batch and the report is complete before it is ever published. The
+// Get is a cheap filter against redoing them for a title an earlier batch
+// already merged; duplicates racing within one in-flight batch redo them
+// redundantly (same deterministic result), and only the merge-ordered
+// first instance survives.
+func (p *Pool) oooReport(res *jobResult, prog *syzlang.Program, i, j int, h *hints.Hint, rank int, title, oracle string, soft bool) {
+	r := &report.Report{
+		Title:      title,
+		Oracle:     oracle,
+		OOO:        true,
+		Type:       h.Type(),
+		Strategy:   nonDefaultStrategy(p.cfg.Strategy),
+		HypBarrier: fmt.Sprintf("before %s (%s)", modules.SiteName(h.Sched), h.Test),
+		Pair:       PairName(prog, i, j),
+		Program:    prog.String(),
+		HintRank:   rank + 1,
+		Tests:      int(res.mtis),
+	}
+	if !soft {
+		for _, s := range h.Reorder {
+			r.ReorderedSites = append(r.ReorderedSites, modules.SiteName(s))
+		}
+	}
+	var rr *repair.Result
+	if p.Reports.Get(title) == nil {
+		r.Models = p.probeModels(prog, i, j, h, title, soft)
+		if rr = p.repairFinding(prog, i, j, h, title, soft); rr != nil {
+			r.SuggestedFix = rr.Lines()
+		}
+	}
+	res.reports = append(res.reports, jobReport{r: r, rebaseTests: true, repair: rr})
+}
+
+// probeModels is the cross-model probe: it re-runs a newly-found OOO
+// bug's MTI under every OTHER registered memory model and returns the
+// sorted names of the models under which the finding (the crash title, or
+// the soft violation when soft) reproduces — the report's "reorders
+// under" line. The campaign's own model is included without a re-run (the
+// finding just reproduced under it). Probe runs are observation only:
+// they touch neither the deterministic Stats counters nor the coverage
+// corpus, so campaign goldens are unaffected. Safe to call concurrently.
+func (p *Pool) probeModels(prog *syzlang.Program, i, j int, h *hints.Hint, title string, soft bool) []string {
+	base := p.cfg.Model
+	models := []string{base.Name()}
+	for _, mm := range memmodel.All() {
+		if mm == base {
+			continue
+		}
+		pr := p.env.RunMTIUnder(MTIOpts{Prog: prog, I: i, J: j, Hint: h}, mm)
+		reproduced := pr.Crash != nil && pr.Crash.Title == title
+		if soft {
+			reproduced = slices.Contains(pr.Soft, title)
+		}
+		if reproduced {
+			models = append(models, mm.Name())
+		}
+	}
+	sort.Strings(models)
+	return models
+}
+
+// repairFinding runs the fence-repair search for a newly-discovered OOO
+// finding. It returns nil when Config.Repair is off. The reproducer's
+// sequential profile comes from the memoized STI cache, so the extra cost
+// is the search itself.
+func (p *Pool) repairFinding(prog *syzlang.Program, i, j int, h *hints.Hint, title string, soft bool) *repair.Result {
+	if !p.cfg.Repair {
+		return nil
+	}
+	start := time.Now()
+	defer observe(p.co.stRepair, start)
+	sti := p.env.RunSTICached(prog)
+	return repair.InVivo(repair.InVivoInput{
+		Prog:   prog,
+		I:      i,
+		J:      j,
+		Hint:   h,
+		Events: sti.CallEvents,
+		Title:  title,
+		Soft:   soft,
+	}, p.env, repair.Options{Model: p.cfg.Model, Metrics: p.co.repair})
+}
+
+// nonDefaultStrategy returns the campaign's strategy label when it is not
+// the default OOO executor, "" otherwise — reports carry only the
+// non-default case, so default-campaign outputs (and their goldens) are
+// byte-identical to before the strategy knob existed.
+func nonDefaultStrategy(name string) string {
+	if name == "ooo" {
+		return ""
+	}
+	return name
 }
 
 // merge folds one step result into the campaign state. Called in strict
@@ -639,17 +697,32 @@ func (p *Pool) merge(res *jobResult, stiNew int, found *[]*report.Report) {
 // Run executes `steps` campaign steps across the pool's workers and
 // returns the new reports in deterministic discovery order.
 func (p *Pool) Run(steps int) []*report.Report {
-	return p.run(steps, time.Time{})
+	return p.run(steps, nil)
 }
 
 // RunFor executes whole batches until the wall-clock budget is spent and
 // returns the new reports. The step sequence is the same deterministic
 // sequence Run walks; only where it stops depends on the clock.
 func (p *Pool) RunFor(budget time.Duration) []*report.Report {
-	return p.run(-1, time.Now().Add(budget))
+	deadline := time.Now().Add(budget)
+	return p.run(-1, func() bool { return !time.Now().Before(deadline) })
 }
 
-func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
+// RunUntil executes at most maxSteps campaign steps, stopping at the first
+// batch boundary where a report with the given title is known, and returns
+// that report (nil if the budget ran out first). Batch boundaries do not
+// depend on the worker count, so neither does the result: the campaign
+// state after RunUntil is the state after Run of the same number of steps.
+func (p *Pool) RunUntil(title string, maxSteps int) *report.Report {
+	if maxSteps > 0 {
+		p.run(maxSteps, func() bool { return p.Reports.Get(title) != nil })
+	}
+	return p.Reports.Get(title)
+}
+
+// run executes batches of steps — all of them when steps < 0 — until the
+// budget is spent or stop, checked at each batch boundary, reports true.
+func (p *Pool) run(steps int, stop func() bool) []*report.Report {
 	if steps == 0 {
 		return nil
 	}
@@ -676,7 +749,7 @@ func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
 	var found []*report.Report
 	remaining := steps
 	for remaining != 0 {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if stop != nil && stop() {
 			break
 		}
 		n := batchSize
@@ -738,7 +811,7 @@ func (p *Pool) run(steps int, deadline time.Time) []*report.Report {
 }
 
 // orderHints applies the HintOrder configuration knob to a freshly
-// calculated hint list (shared by the serial fuzzer and pool workers).
+// calculated hint list.
 func orderHints(hs []*hints.Hint, order string, rng *rand.Rand) {
 	switch order {
 	case "", "heuristic":

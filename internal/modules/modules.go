@@ -86,14 +86,6 @@ type BugInfo struct {
 	Strategy string
 }
 
-// DeprecatedSwitches maps retired switch names to the message explaining
-// their replacement. The switches still function (modules keep honouring
-// them so historical experiments stay runnable) but CLIs warn when one is
-// requested.
-var DeprecatedSwitches = map[string]string{
-	"sbitmap:migration_assist": "deprecated: the Migration strategy reproduces T4#6 without assistance; use -strategy migration (docs/SCHEDULING.md)",
-}
-
 // ModuleInfo describes one module: its templates, bugs, and constructor.
 type ModuleInfo struct {
 	Name string

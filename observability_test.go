@@ -194,19 +194,17 @@ func TestObservabilityEventOrdering(t *testing.T) {
 	}
 }
 
-// TestSnapshotWorkers pins the Stats.Perf.Workers fix: the serial fuzzer
-// reports 1, and a fuzzer sharing a pool's registry reports the pool's
-// actual width rather than a hardcoded 1.
+// TestSnapshotWorkers pins Stats.Perf.Workers to the campaign's actual
+// executor width — 1 included — before and after a run.
 func TestSnapshotWorkers(t *testing.T) {
-	f := core.NewFuzzer(core.Config{Seed: 1})
-	if got := f.Snapshot().Perf.Workers; got != 1 {
-		t.Errorf("serial fuzzer Snapshot().Perf.Workers = %d, want 1", got)
-	}
-
-	reg := obs.NewRegistry()
-	p := core.NewPool(core.Config{Seed: 1, Obs: reg}, 3)
-	shared := core.NewFuzzer(core.Config{Seed: 1, Obs: reg})
-	if got := shared.Snapshot().Perf.Workers; got != p.Workers {
-		t.Errorf("shared-registry Snapshot().Perf.Workers = %d, want the pool's %d", got, p.Workers)
+	for _, workers := range []int{1, 3} {
+		p := core.NewPool(core.Config{Seed: 1}, workers)
+		if got := p.Stats().Perf.Workers; got != workers {
+			t.Errorf("workers=%d: Stats().Perf.Workers = %d before running", workers, got)
+		}
+		p.Run(4)
+		if got := p.Stats().Perf.Workers; got != workers {
+			t.Errorf("workers=%d: Stats().Perf.Workers = %d after running", workers, got)
+		}
 	}
 }

@@ -6,16 +6,16 @@ import (
 )
 
 // TestFacadeFuzzerRoundTrip drives the public facade end to end: build a
-// fuzzer from the root package, find the Fig. 1 bug, and read the report —
-// the README quickstart in test form.
+// campaign from the root package, find the Fig. 1 bug, and read the report
+// — the README quickstart in test form.
 func TestFacadeFuzzerRoundTrip(t *testing.T) {
-	f := NewFuzzer(Config{
+	p := NewPool(Config{
 		Modules:  []string{"watchqueue"},
 		Bugs:     Bugs("watchqueue:pipe_wmb"),
 		Seed:     1,
 		UseSeeds: true,
-	})
-	r := f.RunUntil("BUG: unable to handle kernel NULL pointer dereference in pipe_read", 60)
+	}, 1)
+	r := p.RunUntil("BUG: unable to handle kernel NULL pointer dereference in pipe_read", 60)
 	if r == nil {
 		t.Fatal("facade fuzzer did not find the Fig. 1 bug")
 	}
