@@ -197,18 +197,33 @@ func (c *campaign) registerLocked(name string, prevWorker int) (int, []int) {
 	if pw := c.workers[prevWorker]; pw != nil && prevWorker != id {
 		pw.connected = false
 		for lid := range pw.leases {
-			if ls := c.inflight[lid]; ls != nil {
-				delete(c.inflight, lid)
-				if !c.shards[ls.shard].completed {
-					c.pending = append(c.pending, ls.shard)
-					c.m.do.leaseReassigns.Inc()
-					requeued = append(requeued, ls.shard)
-				}
+			if ls := c.inflight[lid]; ls != nil && c.releaseLocked(lid) {
+				requeued = append(requeued, ls.shard)
 			}
-			delete(pw.leases, lid)
 		}
 	}
 	return id, requeued
+}
+
+// releaseLocked retires lease id: it leaves the in-flight table and its
+// owner's lease set, and its shard, unless completed, is requeued at the
+// tail of the pending queue. It reports whether the shard was requeued;
+// callers emit their own events.
+func (c *campaign) releaseLocked(id uint64) bool {
+	ls := c.inflight[id]
+	if ls == nil {
+		return false
+	}
+	delete(c.inflight, id)
+	if owner := c.workers[ls.worker]; owner != nil {
+		delete(owner.leases, id)
+	}
+	if c.shards[ls.shard].completed {
+		return false
+	}
+	c.pending = append(c.pending, ls.shard)
+	c.m.do.leaseReassigns.Inc()
+	return true
 }
 
 // touchLocked refreshes a worker's liveness. Returns nil for unknown or
@@ -312,23 +327,16 @@ func (c *campaign) leaseLocked(ws *workerState, idx int, stolen bool) *Lease {
 // before the last restart are simply unknown and ignored.
 func (c *campaign) completeLocked(ws *workerState, leaseID uint64) {
 	idx, ok := c.leaseByID[leaseID]
-	if !ok {
+	// A completed shard has no lease in flight: its completion retired
+	// them all and purged it from the pending queue.
+	if !ok || c.shards[idx].completed {
 		return
 	}
 	var viaSteal bool
 	if ls := c.inflight[leaseID]; ls != nil {
 		viaSteal = ls.stolen
-		delete(c.inflight, leaseID)
-		if owner := c.workers[ls.worker]; owner != nil {
-			delete(owner.leases, leaseID)
-		}
 	}
-	delete(ws.leases, leaseID)
-	st := c.shards[idx]
-	if st.completed {
-		return
-	}
-	st.completed = true
+	c.shards[idx].completed = true
 	c.completed++
 	c.m.do.leasesCompleted.Inc()
 	if viaSteal {
@@ -338,20 +346,20 @@ func (c *campaign) completeLocked(ws *workerState, leaseID uint64) {
 		})
 	}
 	c.journalLocked(walComplete, walCompleteD{Shard: idx})
-	// The shard may have been requeued (expiry raced completion): drop it
-	// from pending, and retire any other in-flight lease on it.
-	for i, p := range c.pending {
-		if p == idx {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
+	// The shard may have been requeued, once per expired lease on it
+	// (expiry raced completion): drop every copy from pending, and retire
+	// every in-flight lease on it, this one and any duplicate. The shard
+	// is already marked, so none is requeued.
+	kept := c.pending[:0]
+	for _, p := range c.pending {
+		if p != idx {
+			kept = append(kept, p)
 		}
 	}
+	c.pending = kept
 	for id, ls := range c.inflight {
 		if ls.shard == idx {
-			delete(c.inflight, id)
-			if owner := c.workers[ls.worker]; owner != nil {
-				delete(owner.leases, id)
-			}
+			c.releaseLocked(id)
 		}
 	}
 	c.m.do.ev.Info(ws.id, "dist.lease_complete", map[string]any{
@@ -583,10 +591,8 @@ func (c *campaign) openStateLocked() error {
 	if snap == nil {
 		// First open under this state directory: persist the plan
 		// parameters (spec, total/shard steps, seed) right away. They
-		// live only in snapshots — without one, a crash before the first
-		// periodic compaction would restore the campaign from a bare WAL
-		// as a zero-shard husk (instantly "done") and drop every
-		// completion record it had journaled.
+		// live only in snapshots, and NewManager restores only campaign
+		// directories that hold one.
 		c.snapshotLocked()
 	}
 	return nil

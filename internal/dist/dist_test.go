@@ -221,7 +221,7 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	// Round 1: advertise the key; the manager lacks it and must ask.
 	var s1 SyncResponse
 	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Keys: []string{h},
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Keys: []string{h},
 	}, &s1); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	}
 	var s2 SyncResponse
 	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: reg.WorkerID, Keys: []string{h}, Programs: payload.String(),
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Keys: []string{h}, Programs: payload.String(),
 	}, &s2); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	}
 	var s3 SyncResponse
 	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
-		V: ProtocolVersion, WorkerID: regB.WorkerID,
+		V: ProtocolVersion, WorkerID: regB.WorkerID, Epoch: regB.Epoch,
 	}, &s3); err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +267,20 @@ func TestSyncDeltaConvergence(t *testing.T) {
 	}
 }
 
-// TestProtocolVersionMismatch: a wrong-version client is rejected with
-// HTTP 400 and a JSON error body on every endpoint.
+// TestProtocolVersionMismatch: every version but ProtocolVersion — an
+// absent one (0), the retired version 1, and a future one — is rejected
+// with HTTP 400 and a JSON error body on every endpoint.
 func TestProtocolVersionMismatch(t *testing.T) {
 	_, srv := startManager(t, fastManagerConfig(10, 10))
-	for _, path := range []string{PathRegister, PathPoll, PathSync, PathReport, PathHeartbeat} {
-		err := postJSON(srv.Client(), srv.URL+path, RegisterRequest{V: ProtocolVersion + 1}, nil)
-		if err == nil || !strings.Contains(err.Error(), "protocol version") {
-			t.Errorf("%s with bad version: err = %v, want protocol rejection", path, err)
-		}
-		if err != nil && !strings.Contains(err.Error(), "HTTP 400") {
-			t.Errorf("%s rejection status: %v, want HTTP 400", path, err)
+	for _, v := range []int{0, 1, ProtocolVersion + 1} {
+		for _, path := range []string{PathRegister, PathPoll, PathSync, PathReport, PathHeartbeat} {
+			err := postJSON(srv.Client(), srv.URL+path, RegisterRequest{V: v}, nil)
+			if err == nil || !strings.Contains(err.Error(), "protocol version") {
+				t.Errorf("%s with version %d: err = %v, want protocol rejection", path, v, err)
+			}
+			if errStatus(err) != 400 {
+				t.Errorf("%s with version %d: %v, want HTTP 400", path, v, err)
+			}
 		}
 	}
 }

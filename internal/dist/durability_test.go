@@ -5,14 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"hash/crc32"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ozz/internal/core"
+	"ozz/internal/memmodel"
 	"ozz/internal/modules"
+	"ozz/internal/obs"
 	"ozz/internal/report"
 	"ozz/internal/syzlang"
 )
@@ -53,20 +59,20 @@ func TestManagerRestartResume(t *testing.T) {
 	cfg := durableConfig(t, 40, 10)
 	wantReports, wantCorpus := RunShardsLocal(cfg, 2)
 
-	m1, srv1 := startManager(t, cfg)
-	client := srv1.Client()
+	m1, srvOld := startManager(t, cfg)
+	client := srvOld.Client()
 
 	// A hand-driven worker completes one shard and ships one program and
 	// one finding, all of which must survive the crash.
 	var reg RegisterResponse
-	if err := postJSON(client, srv1.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "w"}, &reg); err != nil {
+	if err := postJSON(client, srvOld.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "w"}, &reg); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Epoch != 1 {
 		t.Fatalf("fresh campaign epoch = %d, want 1", reg.Epoch)
 	}
 	var poll PollResponse
-	if err := postJSON(client, srv1.URL+PathPoll, PollRequest{
+	if err := postJSON(client, srvOld.URL+PathPoll, PollRequest{
 		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
 	}, &poll); err != nil {
 		t.Fatal(err)
@@ -79,7 +85,7 @@ func TestManagerRestartResume(t *testing.T) {
 	// one injected marker report, and only then ack the completion — the
 	// same order a real worker uses, so nothing acked is ever unsynced.
 	lease := poll.Leases[0]
-	pool := core.NewPool(coreConfig(testCampaign(), lease.Seed, nil, nil), 2)
+	pool := core.NewPool(coreConfig(testCampaign(), memmodel.LKMM, lease.Seed, nil, nil), 2)
 	pool.Run(lease.Steps)
 	prog := testProgram(t, "r0 = wq_create()\nwq_pipe_read(r0)\n")
 	shipped := append(pool.CorpusPrograms(), prog)
@@ -91,20 +97,20 @@ func TestManagerRestartResume(t *testing.T) {
 	if err := core.EncodePrograms(&payload, shipped); err != nil {
 		t.Fatal(err)
 	}
-	if err := postJSON(client, srv1.URL+PathSync, SyncRequest{
+	if err := postJSON(client, srvOld.URL+PathSync, SyncRequest{
 		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
 		Keys: keys, Programs: payload.String(),
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	marker := &report.Report{Title: "KCSAN: data-race in restart_test"}
-	if err := postJSON(client, srv1.URL+PathReport, ReportRequest{
+	if err := postJSON(client, srvOld.URL+PathReport, ReportRequest{
 		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
 		Reports: append(pool.Reports.All(), marker),
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := postJSON(client, srv1.URL+PathPoll, PollRequest{
+	if err := postJSON(client, srvOld.URL+PathPoll, PollRequest{
 		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
 		Completed: []uint64{lease.ID},
 	}, nil); err != nil {
@@ -116,8 +122,8 @@ func TestManagerRestartResume(t *testing.T) {
 
 	// Crash: m1 is never closed — the successor opens the same state dir
 	// over its live WAL handle, exactly the SIGKILL posture.
-	srv1.Close()
-	m2, srv2 := startManager(t, cfg)
+	srvOld.Close()
+	m2, srvNew := startManager(t, cfg)
 
 	if got := m2.Epoch(); got != 2 {
 		t.Errorf("restarted epoch = %d, want 2", got)
@@ -144,7 +150,7 @@ func TestManagerRestartResume(t *testing.T) {
 
 	// Pre-restart identity is fenced off with HTTP 410 — the transparent
 	// re-register cue.
-	err := postJSON(srv2.Client(), srv2.URL+PathPoll, PollRequest{
+	err := postJSON(srvNew.Client(), srvNew.URL+PathPoll, PollRequest{
 		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
 	}, nil)
 	if errStatus(err) != 410 {
@@ -155,7 +161,7 @@ func TestManagerRestartResume(t *testing.T) {
 	// on the 410) finishes the campaign to the exact standalone result.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := testWorker(srv2, "resumer").Run(ctx); err != nil {
+	if err := testWorker(srvNew, "resumer").Run(ctx); err != nil {
 		t.Fatalf("worker after restart: %v", err)
 	}
 	if !m2.Done() {
@@ -331,28 +337,27 @@ func TestRestartBeforeFirstSnapshotKeepsPlan(t *testing.T) {
 	}
 }
 
-// TestAddCampaignAdoptsPlanForLegacyState: a state directory holding only
-// a WAL (no snapshot — the layout a pre-initial-snapshot manager left
-// behind) restores with an empty plan; re-adding the campaign via
-// -add-campaign must adopt the supplied plan, keeping the WAL-replayed
-// corpus, instead of leaving the zero-shard campaign and only updating
-// its token.
-func TestAddCampaignAdoptsPlanForLegacyState(t *testing.T) {
+// TestWALOnlyCampaignRehostedByAddCampaign: a campaign directory holding
+// only a WAL (a crash inside the campaign's first open, before its
+// initial snapshot) carries no plan, so NewManager does not host it on
+// its own; the operator's -add-campaign re-hosts it, replaying the WAL
+// over the supplied plan and persisting that plan.
+func TestWALOnlyCampaignRehostedByAddCampaign(t *testing.T) {
 	cfg := durableConfig(t, 10, 10)
 	extra := CampaignConfig{Campaign: testCampaign(), TotalSteps: 20, ShardSteps: 10, Seed: 5, Token: "tok"}
 	m1, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m1.AddCampaign("legacy", extra); err != nil {
+	if err := m1.AddCampaign("walonly", extra); err != nil {
 		t.Fatal(err)
 	}
 	prog := testProgram(t, "r0 = wq_create()\nwq_pipe_read(r0)\n")
 	m1.mu.Lock()
-	m1.camps["legacy"].admitProgramLocked(prog, true)
+	m1.camps["walonly"].admitProgramLocked(prog, true)
 	m1.mu.Unlock()
-	// Simulate the legacy layout: WAL only, no snapshot.
-	if err := os.Remove(snapshotPath(campaignDir(cfg.StateDir, "legacy"))); err != nil {
+	// Leave the WAL-only layout: no snapshot.
+	if err := os.Remove(snapshotPath(campaignDir(cfg.StateDir, "walonly"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -360,33 +365,38 @@ func TestAddCampaignAdoptsPlanForLegacyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.AddCampaign("legacy", extra); err != nil {
+	for _, name := range m2.Campaigns() {
+		if name == "walonly" {
+			t.Fatal("NewManager hosted a WAL-only campaign directory before it was re-added")
+		}
+	}
+	if err := m2.AddCampaign("walonly", extra); err != nil {
 		t.Fatal(err)
 	}
 	m2.mu.Lock()
-	c2 := m2.camps["legacy"]
+	c2 := m2.camps["walonly"]
 	shards, corpus, token := len(c2.shards), len(c2.corpusOrder), c2.cfg.Token
 	m2.mu.Unlock()
 	if shards != 2 {
-		t.Errorf("re-added legacy campaign has %d shards, want the adopted 2-shard plan", shards)
+		t.Errorf("re-added WAL-only campaign has %d shards, want the supplied 2-shard plan", shards)
 	}
 	if corpus != 1 {
-		t.Errorf("adoption lost the WAL-replayed corpus: %d programs, want 1", corpus)
+		t.Errorf("re-hosting lost the WAL-replayed corpus: %d programs, want 1", corpus)
 	}
 	if token != "tok" {
 		t.Errorf("re-added campaign token = %q, want %q", token, "tok")
 	}
-	// The adopted plan was persisted: a further restart restores it even
+	// The supplied plan was persisted: a further restart restores it even
 	// without another AddCampaign.
 	m3, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m3.mu.Lock()
-	shards = len(m3.camps["legacy"].shards)
+	shards = len(m3.camps["walonly"].shards)
 	m3.mu.Unlock()
 	if shards != 2 {
-		t.Errorf("restart after adoption restored %d shards, want 2", shards)
+		t.Errorf("restart after re-hosting restored %d shards, want 2", shards)
 	}
 }
 
@@ -503,7 +513,7 @@ func TestWorkStealing(t *testing.T) {
 func TestEpochReregisterReleasesStaleLease(t *testing.T) {
 	cfg := fastManagerConfig(10, 10)
 	cfg.LeaseTTL = time.Hour // the sweep alone would strand the shard
-	_, srv := startManager(t, cfg)
+	m, srv := startManager(t, cfg)
 	client := srv.Client()
 
 	var reg RegisterResponse
@@ -529,6 +539,14 @@ func TestEpochReregisterReleasesStaleLease(t *testing.T) {
 	}
 	if reg2.WorkerID == reg.WorkerID {
 		t.Fatalf("re-register reused worker ID %d", reg.WorkerID)
+	}
+	// Released by the register itself, before any sweep a poll would run.
+	m.mu.Lock()
+	c := m.camps[DefaultCampaign]
+	inflight, pending := len(c.inflight), len(c.pending)
+	m.mu.Unlock()
+	if inflight != 0 || pending != 1 {
+		t.Fatalf("after re-register: inflight=%d pending=%d, want the stale lease released", inflight, pending)
 	}
 	// The shard must be grantable right now, despite the hour-long TTL.
 	var poll2 PollResponse
@@ -657,42 +675,6 @@ func TestMultiTenancyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestProtocolNegotiation: version 1 clients are still served (answered
-// at their version, single-lease grants), and versions above the window
-// are rejected.
-func TestProtocolNegotiation(t *testing.T) {
-	cfg := fastManagerConfig(40, 10) // 4 shards: a v2 batch would grant several
-	_, srv := startManager(t, cfg)
-	client := srv.Client()
-
-	var reg RegisterResponse
-	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: 1, Name: "old"}, &reg); err != nil {
-		t.Fatalf("v1 register: %v", err)
-	}
-	if reg.V != 1 {
-		t.Errorf("v1 register answered at version %d", reg.V)
-	}
-	var poll PollResponse
-	if err := postJSON(client, srv.URL+PathPoll, PollRequest{V: 1, WorkerID: reg.WorkerID}, &poll); err != nil {
-		t.Fatalf("v1 poll (no epoch, never-restarted campaign): %v", err)
-	}
-	if poll.V != 1 || poll.Lease == nil {
-		t.Errorf("v1 poll: V=%d Lease=%v, want a version-1 single-lease grant", poll.V, poll.Lease)
-	}
-	if len(poll.Leases) > 1 {
-		t.Errorf("v1 poll carried a %d-lease batch", len(poll.Leases))
-	}
-
-	err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion + 1}, nil)
-	if errStatus(err) != 400 {
-		t.Errorf("future-version register: %v, want HTTP 400", err)
-	}
-	err = postJSON(client, srv.URL+PathRegister, RegisterRequest{V: 0}, nil)
-	if errStatus(err) != 400 {
-		t.Errorf("version-0 register: %v, want HTTP 400", err)
-	}
-}
-
 // TestExportImportRoundTrip: a campaign exported from one manager and
 // imported into another carries its corpus, reports, and completed-shard
 // frontier; the import bumps the epoch and honors the new token.
@@ -807,5 +789,344 @@ func TestImportReplacesStaleDiskState(t *testing.T) {
 	}
 	if titles := m2.ReportTitles(); len(titles) != 1 || titles[0] != "imported finding" {
 		t.Errorf("restarted reports = %v, want only the imported finding", titles)
+	}
+}
+
+// TestExportEventCountsCorpus: the dist.export event's corpus field is
+// the exported campaign's program count, not its completed-shard count.
+func TestExportEventCountsCorpus(t *testing.T) {
+	var log bytes.Buffer
+	cfg := fastManagerConfig(20, 10)
+	cfg.Events = obs.NewEventLog(&log, obs.LevelInfo)
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	m.camps[DefaultCampaign].admitProgramLocked(testProgram(t, "r0 = wq_create()\nwq_pipe_read(r0)\n"), true)
+	m.mu.Unlock()
+	if err := m.ExportCampaign(DefaultCampaign, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&log)
+	for {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("no dist.export event in the log: %v", err)
+		}
+		if ev.Kind != "dist.export" {
+			continue
+		}
+		if got := ev.Fields["corpus"]; got != float64(1) {
+			t.Errorf("dist.export corpus = %v, want 1 (one program, no completed shards)", got)
+		}
+		return
+	}
+}
+
+// TestUnknownSpecRejected: a campaign spec naming a memory model (or a
+// module) this build does not know is refused wherever it enters the
+// manager — the default campaign's configuration, AddCampaign, a
+// snapshot restored from the state directory, and ImportCampaign —
+// instead of silently running LKMM under the unknown model's name.
+func TestUnknownSpecRejected(t *testing.T) {
+	bad := fastManagerConfig(10, 10)
+	bad.Campaign.Model = "nosuch"
+	if _, err := NewManager(bad); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Errorf("NewManager with model %q: err = %v, want rejection", bad.Campaign.Model, err)
+	}
+
+	m, err := NewManager(fastManagerConfig(10, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []CampaignSpec{
+		{Modules: []string{"watchqueue"}, Model: "nosuch"},
+		{Modules: []string{"nosuch"}},
+	} {
+		if err := m.AddCampaign("extra", CampaignConfig{Campaign: spec, TotalSteps: 10}); err == nil {
+			t.Errorf("AddCampaign with spec %+v succeeded, want rejection", spec)
+		}
+	}
+	if err := m.AddCampaign("tso", CampaignConfig{
+		Campaign: CampaignSpec{Modules: []string{"watchqueue"}, Model: "tso"}, TotalSteps: 10,
+	}); err != nil {
+		t.Errorf("AddCampaign with a known model: %v", err)
+	}
+
+	// A snapshot on disk that names an unknown model stops the restart.
+	cfg := durableConfig(t, 10, 10)
+	m1, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.mu.Lock()
+	snap := m1.camps[DefaultCampaign].buildSnapshotLocked()
+	m1.mu.Unlock()
+	snap.Spec.Model = "nosuch"
+	if err := writeSnapshotFile(snapshotPath(campaignDir(cfg.StateDir, DefaultCampaign)), snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewManager(cfg); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Errorf("restart over a snapshot with an unknown model: err = %v, want rejection", err)
+	}
+
+	// So does an imported one.
+	var buf bytes.Buffer
+	if err := writeSnapshotTo(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ImportCampaign(&buf, ""); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Errorf("ImportCampaign with an unknown model: err = %v, want rejection", err)
+	}
+}
+
+// TestWorkerRejectsUnknownModel: a worker handed a campaign whose memory
+// model it cannot resolve stops with a fatal error at registration, like
+// a rejected token, instead of running shards under LKMM.
+func TestWorkerRejectsUnknownModel(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != PathRegister {
+			writeError(w, http.StatusServiceUnavailable, "only /register is served")
+			return
+		}
+		writeJSON(w, http.StatusOK, RegisterResponse{
+			V: ProtocolVersion, WorkerID: 1, Epoch: 1, HeartbeatMS: 50,
+			Campaign: CampaignSpec{Modules: []string{"watchqueue"}, Model: "nosuch"},
+		})
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := testWorker(srv, "w").Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("worker Run = %v, want a fatal unknown-model error before the deadline", err)
+	}
+}
+
+// walState is the durable state a WAL replay rebuilds, in comparable
+// form.
+type walState struct {
+	Epoch      uint64
+	NextWorker int
+	Workers    []SnapshotWorker
+	Completed  []int
+	Corpus     []string
+	Reports    []string
+}
+
+// walStateOf captures c's replayable state.
+func walStateOf(c *campaign) walState {
+	snap := c.buildSnapshotLocked()
+	st := walState{
+		Epoch: c.epoch, NextWorker: c.nextWorker, Workers: snap.Workers,
+		Completed: snap.Completed, Corpus: append([]string(nil), c.corpusOrder...),
+	}
+	for _, r := range snap.Reports {
+		st.Reports = append(st.Reports, r.Title)
+	}
+	return st
+}
+
+// TestWALTruncatedAtEveryByte extends the torn-tail tests from handpicked
+// cuts to every cut: the WAL of a short durable campaign (a worker,
+// programs, a report, shard completions) is truncated at each byte
+// offset and replayed into a fresh campaign. Every replay must rebuild
+// exactly the state after the last complete record, truncate the file to
+// that record's end, and leave a log that replays again with no torn
+// bytes.
+func TestWALTruncatedAtEveryByte(t *testing.T) {
+	cfg := durableConfig(t, 30, 10)
+	cfg.SnapshotEvery = 1 << 20 // keep every record in the log
+	// A restart journals an epoch record; the first open's initial
+	// snapshot would compact it away.
+	m0, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	c := m.camps[DefaultCampaign]
+	id, _ := c.registerLocked("w", 0)
+	c.admitProgramLocked(testProgram(t, "r0 = wq_create()\nwq_pipe_read(r0)\n"), true)
+	granted, _ := c.grantLocked(c.workers[id])
+	c.admitReportLocked(&report.Report{Title: "KCSAN: data-race in truncation_test"}, true)
+	c.admitProgramLocked(testProgram(t, "r0 = wq_create()\nwq_post_notification(r0, 0x4)\n"), true)
+	for _, l := range granted[:2] {
+		c.completeLocked(c.workers[id], l.ID)
+	}
+	live := walStateOf(c)
+	m.mu.Unlock()
+	data, err := os.ReadFile(walPath(campaignDir(cfg.StateDir, DefaultCampaign)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The records and their end offsets, and the state after each prefix.
+	type record struct {
+		t string
+		d json.RawMessage
+	}
+	var recs []record
+	var ends []int
+	for off := 0; off < len(data); {
+		n := bytes.IndexByte(data[off:], '\n')
+		if n < 0 {
+			t.Fatal("recorded WAL ends in a partial record")
+		}
+		var r walRecord
+		if err := json.Unmarshal(data[off:off+n], &r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, record{r.T, r.D})
+		off += n + 1
+		ends = append(ends, off)
+	}
+	fresh := func() *campaign { return newCampaign(m, DefaultCampaign, cfg.defaultCampaignConfig()) }
+	want := make([]walState, len(recs)+1)
+	for n := range want {
+		c := fresh()
+		for _, r := range recs[:n] {
+			c.applyWALLocked(r.t, r.d)
+		}
+		want[n] = walStateOf(c)
+	}
+	if !reflect.DeepEqual(want[len(recs)], live) {
+		t.Fatalf("full replay %+v != live state %+v", want[len(recs)], live)
+	}
+	for _, kind := range []string{walEpoch, walWorker, walProgram, walReport, walComplete} {
+		found := false
+		for _, r := range recs {
+			found = found || r.t == kind
+		}
+		if !found {
+			t.Fatalf("recorded WAL has no %q record", kind)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "wal.log")
+	for cut := 0; cut <= len(data); cut++ {
+		n := 0
+		for n < len(ends) && ends[n] <= cut {
+			n++
+		}
+		good := 0
+		if n > 0 {
+			good = ends[n-1]
+		}
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := fresh()
+		replayed, torn, err := replayWAL(path, c.applyWALLocked)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if replayed != n || torn != int64(cut-good) {
+			t.Fatalf("cut %d: replayed %d records, torn %d bytes; want %d and %d", cut, replayed, torn, n, cut-good)
+		}
+		if got := walStateOf(c); !reflect.DeepEqual(got, want[n]) {
+			t.Fatalf("cut %d: replayed state %+v, want the state after %d records %+v", cut, got, n, want[n])
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, data[:good]) {
+			t.Fatalf("cut %d: file not truncated to the %d-byte complete prefix (%d bytes left)", cut, good, len(after))
+		}
+		if again, torn, err := replayWAL(path, func(string, json.RawMessage) {}); err != nil || again != n || torn != 0 {
+			t.Fatalf("cut %d: second replay: %d records, %d torn bytes, err %v; want %d, 0, nil", cut, again, torn, err, n)
+		}
+	}
+}
+
+// TestDeregisterReleasesLeases: a deregistering sync releases the
+// worker's leases at once, not at the next sweep.
+func TestDeregisterReleasesLeases(t *testing.T) {
+	cfg := fastManagerConfig(20, 10) // two shards, one batch
+	cfg.LeaseTTL = time.Hour
+	m, srv := startManager(t, cfg)
+	client := srv.Client()
+	var reg RegisterResponse
+	if err := postJSON(client, srv.URL+PathRegister, RegisterRequest{V: ProtocolVersion, Name: "w"}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	var poll PollResponse
+	if err := postJSON(client, srv.URL+PathPoll, PollRequest{
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch,
+	}, &poll); err != nil {
+		t.Fatal(err)
+	}
+	if len(poll.Leases) != 2 {
+		t.Fatalf("granted %d leases, want the 2-shard batch", len(poll.Leases))
+	}
+	if err := postJSON(client, srv.URL+PathSync, SyncRequest{
+		V: ProtocolVersion, WorkerID: reg.WorkerID, Epoch: reg.Epoch, Deregister: true,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	c := m.camps[DefaultCampaign]
+	inflight, pending := len(c.inflight), len(c.pending)
+	m.mu.Unlock()
+	if inflight != 0 || pending != 2 {
+		t.Errorf("after deregister: inflight=%d pending=%d, want both leases released", inflight, pending)
+	}
+	if got := m.do.leaseReassigns.Value(); got != 2 {
+		t.Errorf("lease_reassignments_total = %d, want 2", got)
+	}
+}
+
+// TestCompletedShardNotRegranted: when several leases on one shard expire
+// together the shard is queued once per lease; completing it must purge
+// every copy, so the finished shard is never granted again.
+func TestCompletedShardNotRegranted(t *testing.T) {
+	cfg := fastManagerConfig(10, 10) // one shard
+	cfg.HeartbeatEvery = time.Hour   // isolate lease expiry from worker death
+	cfg.StealDuplicates = 2
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	m.now = func() time.Time { return now }
+
+	m.mu.Lock()
+	c := m.camps[DefaultCampaign]
+	var ids []int
+	for _, name := range []string{"holder", "thief1", "thief2"} {
+		id, _ := c.registerLocked(name, 0)
+		if g, _ := c.grantLocked(c.workers[id]); len(g) != 1 {
+			m.mu.Unlock()
+			t.Fatalf("%s granted %d leases, want 1", name, len(g))
+		}
+		ids = append(ids, id)
+	}
+	m.mu.Unlock()
+
+	now = now.Add(cfg.LeaseTTL + time.Nanosecond)
+	m.sweep()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(c.pending) != 3 {
+		t.Fatalf("after all three leases expired: pending=%v, want the shard queued 3 times", c.pending)
+	}
+	g, _ := c.grantLocked(c.workers[ids[0]])
+	if len(g) != 1 {
+		t.Fatalf("re-grant: %d leases, want 1", len(g))
+	}
+	c.completeLocked(c.workers[ids[0]], g[0].ID)
+	if !c.doneLocked() || len(c.pending) != 0 {
+		t.Fatalf("after completion: done=%v pending=%v, want done with nothing queued", c.doneLocked(), c.pending)
+	}
+	if again, _ := c.grantLocked(c.workers[ids[1]]); len(again) != 0 {
+		t.Errorf("completed shard granted again: %+v", again)
 	}
 }

@@ -69,15 +69,26 @@ func Shards(seed int64, totalSteps, shardSteps int) []Shard {
 	return plan
 }
 
-// coreConfig reconstructs the core campaign configuration for one shard.
-func coreConfig(spec CampaignSpec, seed int64, reg *obs.Registry, ev *obs.EventLog) core.Config {
-	// An empty or unknown model name falls back to LKMM rather than
-	// failing the shard: a mixed fleet where one side predates a model
-	// should degrade to the default, not wedge the campaign.
-	mm, err := memmodel.ByName(spec.Model)
-	if spec.Model == "" || err != nil {
-		mm = memmodel.LKMM
+// resolveSpec checks that this build can run spec, whose module and
+// model names arrive from configuration, snapshots and the wire: every
+// module must exist, and the memory model name (empty = LKMM) resolves
+// to its table. An unknown model is an error, never a silent fallback,
+// so no finding is labelled with a model that never ran.
+func resolveSpec(spec CampaignSpec) (*memmodel.Table, error) {
+	for _, name := range spec.Modules {
+		if modules.ByName(name) == nil {
+			return nil, fmt.Errorf("unknown module %q", name)
+		}
 	}
+	if spec.Model == "" {
+		return memmodel.LKMM, nil
+	}
+	return memmodel.ByName(spec.Model)
+}
+
+// coreConfig reconstructs the core campaign configuration for one shard
+// under the memory model resolveSpec resolved from spec.
+func coreConfig(spec CampaignSpec, mm *memmodel.Table, seed int64, reg *obs.Registry, ev *obs.EventLog) core.Config {
 	return core.Config{
 		Modules:         spec.Modules,
 		Bugs:            modules.Bugs(spec.Bugs...),
@@ -190,10 +201,12 @@ type Manager struct {
 }
 
 // NewManager builds a fabric manager hosting the configuration's default
-// campaign. With StateDir set it restores every campaign found in the
-// directory (the default campaign plus any previously hosted ones),
-// replaying snapshot+WAL and bumping epochs so surviving workers
-// re-register. It does not listen; mount Handler on an http.Server.
+// campaign. With StateDir set it restores the default campaign and every
+// other campaign directory holding a snapshot, replaying snapshot+WAL and
+// bumping epochs so surviving workers re-register. A directory with only
+// a WAL (a crash inside the campaign's first open) carries no plan; the
+// operator's AddCampaign re-hosts it, replaying the WAL over the supplied
+// plan. It does not listen; mount Handler on an http.Server.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	cfg.normalize()
 	m := &Manager{
@@ -215,6 +228,9 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			if !e.IsDir() || !validCampaignName(name) || name == DefaultCampaign {
 				continue
 			}
+			if _, err := os.Stat(snapshotPath(campaignDir(cfg.StateDir, name))); os.IsNotExist(err) {
+				continue
+			}
 			// A previously hosted campaign: restore it with an empty config
 			// (the snapshot supplies plan and spec; tokens are config, so a
 			// relaunched fleet re-supplies them via AddCampaign).
@@ -229,28 +245,19 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 // AddCampaign hosts (or, when the state directory already holds its
 // snapshot/WAL, restores) a named campaign next to the default one. It
 // is idempotent on the name: re-adding updates the auth token and leaves
-// an existing campaign's plan and state untouched — except when the
-// existing campaign has no plan at all (restored from a legacy state
-// directory holding only a WAL, no snapshot), in which case it adopts
-// the supplied plan instead of staying a zero-shard husk.
+// an existing campaign's plan and state untouched. A spec naming an
+// unknown module or memory model, configured or restored, is an error.
 func (m *Manager) AddCampaign(name string, cfg CampaignConfig) error {
 	if !validCampaignName(name) {
 		return fmt.Errorf("dist: invalid campaign name %q", name)
+	}
+	if _, err := resolveSpec(cfg.Campaign); err != nil {
+		return fmt.Errorf("dist: campaign %q: %w", name, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.camps[name]; ok {
 		c.cfg.Token = cfg.Token
-		if len(c.shards) == 0 && cfg.TotalSteps > 0 {
-			cfg.normalize()
-			c.cfg.Campaign = cfg.Campaign
-			c.cfg.TotalSteps, c.cfg.ShardSteps, c.cfg.Seed = cfg.TotalSteps, cfg.ShardSteps, cfg.Seed
-			c.target = modules.Target(cfg.Campaign.Modules...)
-			c.doneEmitted = false
-			c.rebuildPlanLocked()
-			c.snapshotLocked()
-			m.setGaugesLocked()
-		}
 		return nil
 	}
 	c := newCampaign(m, name, cfg)
@@ -286,9 +293,10 @@ func (m *Manager) ExportCampaign(name string, w io.Writer) error {
 		return fmt.Errorf("dist: unknown campaign %q", name)
 	}
 	snap := c.buildSnapshotLocked()
+	corpus := len(c.corpusOrder)
 	m.mu.Unlock()
 	m.do.ev.Info(0, "dist.export", map[string]any{
-		"campaign": snap.Name, "corpus": len(snap.Completed), "reports": len(snap.Reports),
+		"campaign": snap.Name, "corpus": corpus, "reports": len(snap.Reports),
 	})
 	return writeSnapshotTo(w, snap)
 }
@@ -372,13 +380,6 @@ func (m *Manager) campLocked(name string) *campaign {
 		name = DefaultCampaign
 	}
 	return m.camps[name]
-}
-
-// def returns the default campaign (always hosted).
-func (m *Manager) def() *campaign {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.camps[DefaultCampaign]
 }
 
 // Obs returns the registry the manager publishes fabric metrics into.
@@ -519,30 +520,19 @@ func (m *Manager) timed(h *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// negotiate returns the protocol version to answer a request with.
-func negotiate(reqV int) int {
-	if reqV < ProtocolVersion {
-		return reqV
-	}
-	return ProtocolVersion
-}
-
-// checkVersion rejects protocol versions outside the accepted window;
+// checkVersion rejects every protocol version but ProtocolVersion;
 // reports whether the request may proceed.
 func checkVersion(w http.ResponseWriter, v int) bool {
-	if v < MinProtocolVersion || v > ProtocolVersion {
+	if v != ProtocolVersion {
 		writeError(w, http.StatusBadRequest,
-			"protocol version %d, manager speaks %d..%d", v, MinProtocolVersion, ProtocolVersion)
+			"protocol version %d, manager speaks %d", v, ProtocolVersion)
 		return false
 	}
 	return true
 }
 
 // resolveLocked authenticates a request's (campaign, token, epoch)
-// triple, writing the error reply and returning nil on failure. Version
-// 1 clients carry no epoch; their epoch 0 is only accepted while the
-// campaign is still in its first epoch, so legacy workers are fenced off
-// exactly when state actually moved under them.
+// triple, writing the error reply and returning nil on failure.
 func (m *Manager) resolveLocked(w http.ResponseWriter, campaignName, token string, epoch uint64, checkEpoch bool) *campaign {
 	c := m.campLocked(campaignName)
 	if c == nil {
@@ -553,16 +543,10 @@ func (m *Manager) resolveLocked(w http.ResponseWriter, campaignName, token strin
 		writeError(w, http.StatusForbidden, "campaign %q: bad or missing token", c.name)
 		return nil
 	}
-	if checkEpoch {
-		want := c.epoch
-		if epoch == 0 && want == 1 {
-			epoch = 1 // v1 clients on a never-restarted campaign
-		}
-		if epoch != want {
-			writeError(w, http.StatusGone,
-				"stale epoch %d for campaign %q (current %d): re-register", epoch, c.name, want)
-			return nil
-		}
+	if checkEpoch && epoch != c.epoch {
+		writeError(w, http.StatusGone,
+			"stale epoch %d for campaign %q (current %d): re-register", epoch, c.name, c.epoch)
+		return nil
 	}
 	return c
 }
@@ -614,7 +598,7 @@ func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, RegisterResponse{
-		V:           negotiate(req.V),
+		V:           ProtocolVersion,
 		WorkerID:    id,
 		Epoch:       epoch,
 		Campaign:    spec,
@@ -650,24 +634,13 @@ func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 	for _, id := range req.Completed {
 		c.completeLocked(ws, id)
 	}
-	resp := PollResponse{V: negotiate(req.V)}
+	resp := PollResponse{V: ProtocolVersion}
 	var stolen bool
 	if c.doneLocked() {
 		resp.Done = true
 	} else {
-		var granted []*Lease
-		granted, stolen = c.grantLocked(ws)
-		if req.V < 2 && len(granted) > 1 {
-			// A v1 client reads a single lease; return the rest.
-			for _, l := range granted[1:] {
-				c.ungrantLocked(l.ID)
-			}
-			granted = granted[:1]
-		}
-		if len(granted) > 0 {
-			resp.Leases = granted
-			resp.Lease = granted[0]
-		} else {
+		resp.Leases, stolen = c.grantLocked(ws)
+		if len(resp.Leases) == 0 {
 			resp.RetryMS = (m.cfg.HeartbeatEvery / 2).Milliseconds()
 		}
 	}
@@ -685,23 +658,6 @@ func (m *Manager) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	m.maybeEmitDone(c)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ungrantLocked retracts a just-granted lease (v1 batch downgrade),
-// returning its shard to the head of the queue.
-func (c *campaign) ungrantLocked(leaseID uint64) {
-	ls := c.inflight[leaseID]
-	if ls == nil {
-		return
-	}
-	delete(c.inflight, leaseID)
-	delete(c.leaseByID, leaseID)
-	if owner := c.workers[ls.worker]; owner != nil {
-		delete(owner.leases, leaseID)
-	}
-	if !ls.stolen && !c.shards[ls.shard].completed {
-		c.pending = append([]int{ls.shard}, c.pending...)
-	}
 }
 
 // sweep requeues expired leases and declares silent workers dead, across
@@ -733,16 +689,8 @@ func (m *Manager) sweep() {
 		}
 		for id, ls := range c.inflight {
 			owner := c.workers[ls.worker]
-			if now.After(ls.expiry) || owner == nil || !owner.connected {
-				delete(c.inflight, id)
-				if owner != nil {
-					delete(owner.leases, id)
-				}
-				if !c.shards[ls.shard].completed {
-					c.pending = append(c.pending, ls.shard)
-					m.do.leaseReassigns.Inc()
-					res = append(res, reassigned{campaign: c.name, lease: id, shard: ls.shard, worker: ls.worker})
-				}
+			if (now.After(ls.expiry) || owner == nil || !owner.connected) && c.releaseLocked(id) {
+				res = append(res, reassigned{campaign: c.name, lease: id, shard: ls.shard, worker: ls.worker})
 			}
 		}
 	}
@@ -846,14 +794,7 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	if req.Deregister && ws != nil {
 		ws.connected = false
 		for id := range ws.leases {
-			if ls := c.inflight[id]; ls != nil {
-				delete(c.inflight, id)
-				if !c.shards[ls.shard].completed {
-					c.pending = append(c.pending, ls.shard)
-					m.do.leaseReassigns.Inc()
-				}
-			}
-			delete(ws.leases, id)
+			c.releaseLocked(id)
 		}
 	}
 	m.setGaugesLocked()
@@ -868,7 +809,7 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 		m.do.ev.Info(req.WorkerID, "dist.deregister", nil)
 	}
 	writeJSON(w, http.StatusOK, SyncResponse{
-		V: negotiate(req.V), Programs: payload.String(), Want: want,
+		V: ProtocolVersion, Programs: payload.String(), Want: want,
 	})
 }
 
@@ -909,7 +850,7 @@ func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	m.do.ev.Info(req.WorkerID, "dist.report", map[string]any{
 		"campaign": c.name, "received": len(req.Reports), "added": added,
 	})
-	writeJSON(w, http.StatusOK, ReportResponse{V: negotiate(req.V), Added: added})
+	writeJSON(w, http.StatusOK, ReportResponse{V: ProtocolVersion, Added: added})
 }
 
 // handleHeartbeat renews worker liveness and its leases.
@@ -939,23 +880,28 @@ func (m *Manager) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	m.mu.Unlock()
-	writeJSON(w, http.StatusOK, HeartbeatResponse{V: negotiate(req.V), OK: ok})
+	writeJSON(w, http.StatusOK, HeartbeatResponse{V: ProtocolVersion, OK: ok})
 }
 
 // RunShardsLocal executes the manager configuration's whole shard plan
 // sequentially in-process — the standalone-equivalent campaign the
 // distributed fabric must match title-for-title. It returns the merged
 // deduplicated report set and the merged corpus (first-seen order,
-// deduplicated by program key).
+// deduplicated by program key). It panics on a spec NewManager would
+// refuse (see resolveSpec): it has no error to return.
 func RunShardsLocal(cfg ManagerConfig, poolWorkers int) (*report.Set, []*syzlang.Program) {
 	cfg.normalize()
+	mm, err := resolveSpec(cfg.Campaign)
+	if err != nil {
+		panic(err)
+	}
 	merged := report.NewSet()
 	var (
 		corpus []*syzlang.Program
 		seen   = make(map[string]struct{})
 	)
 	for _, sh := range Shards(cfg.Seed, cfg.TotalSteps, cfg.ShardSteps) {
-		p := core.NewPool(coreConfig(cfg.Campaign, sh.Seed, nil, nil), poolWorkers)
+		p := core.NewPool(coreConfig(cfg.Campaign, mm, sh.Seed, nil, nil), poolWorkers)
 		p.Run(sh.Steps)
 		shardSet := report.NewSet()
 		for _, r := range p.Reports.All() {

@@ -282,8 +282,9 @@ func writeSnapshotTo(w io.Writer, snap *CampaignSnapshot) error {
 	return json.NewEncoder(w).Encode(snap)
 }
 
-// decodeSnapshot reads one snapshot from r (campaign import), checking
-// the schema version.
+// decodeSnapshot reads one snapshot from r, the single decoder of both
+// the state directory and campaign import. It checks the schema version
+// and that this build can run the campaign's spec (see resolveSpec).
 func decodeSnapshot(r io.Reader) (*CampaignSnapshot, error) {
 	var snap CampaignSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -292,27 +293,24 @@ func decodeSnapshot(r io.Reader) (*CampaignSnapshot, error) {
 	if snap.Format != SnapshotFormat {
 		return nil, fmt.Errorf("dist: snapshot format %d, this build reads %d", snap.Format, SnapshotFormat)
 	}
+	if _, err := resolveSpec(snap.Spec); err != nil {
+		return nil, fmt.Errorf("dist: snapshot of campaign %q: %w", snap.Name, err)
+	}
 	return &snap, nil
 }
 
 // readSnapshotFile loads a snapshot, reporting (nil, nil) when none
 // exists yet.
 func readSnapshotFile(path string) (*CampaignSnapshot, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: read snapshot: %w", err)
 	}
-	var snap CampaignSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return nil, fmt.Errorf("dist: decode snapshot: %w", err)
-	}
-	if snap.Format != SnapshotFormat {
-		return nil, fmt.Errorf("dist: snapshot format %d, this build reads %d", snap.Format, SnapshotFormat)
-	}
-	return &snap, nil
+	defer f.Close()
+	return decodeSnapshot(f)
 }
 
 // campaignNameRe bounds campaign names to filesystem-safe tokens, since

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ozz/internal/core"
+	"ozz/internal/memmodel"
 	"ozz/internal/modules"
 	"ozz/internal/obs"
 	"ozz/internal/report"
@@ -64,6 +65,7 @@ type Worker struct {
 	client *http.Client
 
 	campaign       CampaignSpec
+	model          *memmodel.Table // campaign.Model, resolved at register
 	target         *syzlang.Target
 	heartbeatEvery time.Duration
 
@@ -168,7 +170,8 @@ func (w *Worker) ident() (int, uint64) {
 // restarted under a new epoch, or forgot us) advertises the previous
 // (worker, epoch) pair so the manager can eagerly release the stale
 // incarnation's leases, and voids any leases held locally: their IDs are
-// fenced off by the epoch bump.
+// fenced off by the epoch bump. A campaign naming a module or memory
+// model this build does not know is a fatal error, like a rejected token.
 func (w *Worker) register(ctx context.Context) error {
 	prevID, prevEpoch := w.ident()
 	for attempt := 0; ; attempt++ {
@@ -184,16 +187,16 @@ func (w *Worker) register(ctx context.Context) error {
 		}, &resp)
 		observe(w.do.httpRegister, start)
 		if err == nil {
-			epoch := resp.Epoch
-			if epoch == 0 {
-				epoch = 1 // v1 manager: single implicit epoch
+			mm, err := resolveSpec(resp.Campaign)
+			if err != nil {
+				return fmt.Errorf("dist: register: %w", err)
 			}
 			w.mu.Lock()
 			w.id = resp.WorkerID
-			w.epoch = epoch
+			w.epoch = resp.Epoch
 			w.held = nil
 			w.mu.Unlock()
-			w.campaign = resp.Campaign
+			w.campaign, w.model = resp.Campaign, mm
 			w.target = modules.Target(resp.Campaign.Modules...)
 			if resp.HeartbeatMS <= 0 {
 				resp.HeartbeatMS = 1000
@@ -201,7 +204,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.heartbeatEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			w.do.ev.Info(resp.WorkerID, "dist.register", map[string]any{
 				"manager": w.cfg.ManagerURL, "name": w.cfg.Name,
-				"campaign": w.cfg.Campaign, "epoch": epoch, "prev_worker": prevID,
+				"campaign": w.cfg.Campaign, "epoch": resp.Epoch, "prev_worker": prevID,
 			})
 			return nil
 		}
@@ -303,11 +306,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			})
 			return nil
 		}
-		batch := resp.Leases
-		if len(batch) == 0 && resp.Lease != nil {
-			batch = []*Lease{resp.Lease}
-		}
-		if len(batch) == 0 {
+		if len(resp.Leases) == 0 {
 			retry := time.Duration(resp.RetryMS) * time.Millisecond
 			if retry <= 0 {
 				retry = 100 * time.Millisecond
@@ -315,7 +314,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleep(ctx, retry)
 			continue
 		}
-		for _, lease := range batch {
+		for _, lease := range resp.Leases {
 			leases++
 			w.mu.Lock()
 			w.held = append(w.held, lease.ID)
@@ -359,7 +358,7 @@ func removeLease(held []uint64, id uint64) []uint64 {
 // deterministic, the partial results are a prefix of the rerun's and
 // merge harmlessly).
 func (w *Worker) runLease(ctx context.Context, lease *Lease) bool {
-	pool := core.NewPool(coreConfig(w.campaign, lease.Seed, w.cfg.Obs, w.cfg.Events), w.cfg.PoolWorkers)
+	pool := core.NewPool(coreConfig(w.campaign, w.model, lease.Seed, w.cfg.Obs, w.cfg.Events), w.cfg.PoolWorkers)
 	ran := 0
 	for ran < lease.Steps {
 		if ctx.Err() != nil {
