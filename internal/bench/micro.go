@@ -3,8 +3,8 @@
 // ring, delayed-store flushing, scheduler yields and switches, and the
 // kmem sanitizer access check. Each driver takes a *testing.B, so the same
 // code backs both `go test -bench Micro` (via the wrappers in
-// micro_bench_test.go) and the ozz-bench binary's BENCH_*.json writer
-// (via testing.Benchmark).
+// micro_bench_test.go) and the campaign benchmark's per-layer rows
+// (ozzbench/micro.go runs them through testing.Benchmark).
 package bench
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // Micro names one microbenchmark driver.
 type Micro struct {
-	// Name is the stable metric identifier used in BENCH_*.json.
+	// Name is the stable identifier ozzbench maps to its per-layer row.
 	Name string
 	// Fn is the benchmark body.
 	Fn func(b *testing.B)

@@ -2,9 +2,9 @@ package bench
 
 import "testing"
 
-// The Micro* drivers live in micro.go so the ozz-bench binary can run
-// them through testing.Benchmark; these wrappers expose them to
-// `go test -bench`.
+// The Micro* drivers live in micro.go so the campaign benchmark
+// (ozzbench/micro.go) can run them through testing.Benchmark; these
+// wrappers expose them to `go test -bench`.
 
 func BenchmarkMicroOEMUStep(b *testing.B)           { MicroOEMUStep(b) }
 func BenchmarkMicroOEMUCommitTracked(b *testing.B)  { MicroOEMUCommitTracked(b) }

@@ -32,10 +32,13 @@ type CampaignConfig struct {
 	Token string
 }
 
+// defaultShardSteps is the per-lease step budget when none is configured.
+const defaultShardSteps = 64
+
 // normalize resolves the campaign defaults.
 func (c *CampaignConfig) normalize() {
 	if c.ShardSteps <= 0 {
-		c.ShardSteps = 64
+		c.ShardSteps = defaultShardSteps
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -879,6 +881,90 @@ func TestUnknownSpecRejected(t *testing.T) {
 	if _, err := m.ImportCampaign(&buf, ""); err == nil || !strings.Contains(err.Error(), "nosuch") {
 		t.Errorf("ImportCampaign with an unknown model: err = %v, want rejection", err)
 	}
+}
+
+// TestPlanBoundRefused: a plan of more than maxShards shards is refused
+// wherever its step counts enter — NewManager and AddCampaign configs, a
+// snapshot in the state directory, an imported snapshot — before the
+// plan is built. 10^12 one-step shards would otherwise allocate 10^12
+// shard entries; the allocation bound below shows nothing plan-sized was
+// built before the refusal.
+func TestPlanBoundRefused(t *testing.T) {
+	const huge = 1_000_000_000_000
+	refused := func(t *testing.T, f func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "shards") {
+			t.Fatalf("err = %v, want a refused plan", err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("allocated %d bytes before refusing: the plan was built", n)
+		}
+	}
+	bigSnapshot := func() []byte {
+		return []byte(fmt.Sprintf(`{"format":%d,"name":"big","total_steps":%d,"shard_steps":1}`, SnapshotFormat, huge))
+	}
+
+	t.Run("snapshot", func(t *testing.T) {
+		refused(t, func() error {
+			_, err := decodeSnapshot(bytes.NewReader(bigSnapshot()))
+			return err
+		})
+	})
+	t.Run("import", func(t *testing.T) {
+		m, err := NewManager(fastManagerConfig(10, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(t, func() error {
+			_, err := m.ImportCampaign(bytes.NewReader(bigSnapshot()), "")
+			return err
+		})
+		if got := m.Campaigns(); len(got) != 1 {
+			t.Errorf("campaigns after a refused import = %v, want only the default", got)
+		}
+	})
+	t.Run("config", func(t *testing.T) {
+		refused(t, func() error {
+			_, err := NewManager(fastManagerConfig(huge, 1))
+			return err
+		})
+		m, err := NewManager(fastManagerConfig(10, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(t, func() error {
+			return m.AddCampaign("big", CampaignConfig{Campaign: testCampaign(), TotalSteps: huge, ShardSteps: 1})
+		})
+		// The default shard size counts too.
+		refused(t, func() error {
+			return m.AddCampaign("big", CampaignConfig{Campaign: testCampaign(), TotalSteps: 64*maxShards + 1})
+		})
+		if err := m.AddCampaign("edge", CampaignConfig{Campaign: testCampaign(), TotalSteps: maxShards, ShardSteps: 1}); err != nil {
+			t.Errorf("a plan of exactly maxShards shards: %v", err)
+		}
+	})
+	t.Run("restart", func(t *testing.T) {
+		cfg := durableConfig(t, 10, 10)
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		snap := m.camps[DefaultCampaign].buildSnapshotLocked()
+		m.mu.Unlock()
+		snap.TotalSteps, snap.ShardSteps = huge, 1
+		if err := writeSnapshotFile(snapshotPath(campaignDir(cfg.StateDir, DefaultCampaign)), snap); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, func() error {
+			_, err := NewManager(cfg)
+			return err
+		})
+	})
 }
 
 // TestWorkerRejectsUnknownModel: a worker handed a campaign whose memory

@@ -69,6 +69,26 @@ func Shards(seed int64, totalSteps, shardSteps int) []Shard {
 	return plan
 }
 
+// maxShards bounds a campaign's shard plan, which the manager builds up
+// front with one entry per shard. The step counts arrive from
+// configuration and from snapshots (state directory or import), so a
+// damaged or hostile snapshot claiming 10^12 one-step shards must be
+// refused, not allocated. The largest plan in use is a few hundred shards.
+const maxShards = 1 << 16
+
+// checkPlan refuses a plan of more than maxShards shards. It counts the
+// shards a campaign would lay out (shardSteps <= 0 takes the 64-step
+// default) without building the plan.
+func checkPlan(totalSteps, shardSteps int) error {
+	if shardSteps <= 0 {
+		shardSteps = defaultShardSteps
+	}
+	if totalSteps > 0 && (totalSteps-1)/shardSteps >= maxShards {
+		return fmt.Errorf("plan of %d steps in %d-step shards exceeds %d shards", totalSteps, shardSteps, maxShards)
+	}
+	return nil
+}
+
 // resolveSpec checks that this build can run spec, whose module and
 // model names arrive from configuration, snapshots and the wire: every
 // module must exist, and the memory model name (empty = LKMM) resolves
@@ -153,7 +173,7 @@ type ManagerConfig struct {
 // normalize resolves the manager defaults.
 func (c *ManagerConfig) normalize() {
 	if c.ShardSteps <= 0 {
-		c.ShardSteps = 64
+		c.ShardSteps = defaultShardSteps
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 5 * time.Second
@@ -246,12 +266,17 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 // snapshot/WAL, restores) a named campaign next to the default one. It
 // is idempotent on the name: re-adding updates the auth token and leaves
 // an existing campaign's plan and state untouched. A spec naming an
-// unknown module or memory model, configured or restored, is an error.
+// unknown module or memory model, or a plan of more than maxShards
+// shards, configured or restored, is an error. NewManager hosts its
+// default campaign through here, so the same checks refuse its config.
 func (m *Manager) AddCampaign(name string, cfg CampaignConfig) error {
 	if !validCampaignName(name) {
 		return fmt.Errorf("dist: invalid campaign name %q", name)
 	}
 	if _, err := resolveSpec(cfg.Campaign); err != nil {
+		return fmt.Errorf("dist: campaign %q: %w", name, err)
+	}
+	if err := checkPlan(cfg.TotalSteps, cfg.ShardSteps); err != nil {
 		return fmt.Errorf("dist: campaign %q: %w", name, err)
 	}
 	m.mu.Lock()
@@ -800,7 +825,7 @@ func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
 	m.setGaugesLocked()
 	m.mu.Unlock()
 	m.do.ev.Info(req.WorkerID, "dist.sync", map[string]any{
-		"campaign": c.name,
+		"campaign":      c.name,
 		"recv_programs": recvProgs, "sent_programs": len(toSend),
 		"recv_bytes": len(req.Programs), "sent_bytes": payload.Len(),
 		"want": len(want), "deregister": req.Deregister,

@@ -283,8 +283,9 @@ func writeSnapshotTo(w io.Writer, snap *CampaignSnapshot) error {
 }
 
 // decodeSnapshot reads one snapshot from r, the single decoder of both
-// the state directory and campaign import. It checks the schema version
-// and that this build can run the campaign's spec (see resolveSpec).
+// the state directory and campaign import. It checks the schema version,
+// that this build can run the campaign's spec (see resolveSpec) and that
+// the plan is within maxShards (see checkPlan).
 func decodeSnapshot(r io.Reader) (*CampaignSnapshot, error) {
 	var snap CampaignSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -294,6 +295,9 @@ func decodeSnapshot(r io.Reader) (*CampaignSnapshot, error) {
 		return nil, fmt.Errorf("dist: snapshot format %d, this build reads %d", snap.Format, SnapshotFormat)
 	}
 	if _, err := resolveSpec(snap.Spec); err != nil {
+		return nil, fmt.Errorf("dist: snapshot of campaign %q: %w", snap.Name, err)
+	}
+	if err := checkPlan(snap.TotalSteps, snap.ShardSteps); err != nil {
 		return nil, fmt.Errorf("dist: snapshot of campaign %q: %w", snap.Name, err)
 	}
 	return &snap, nil

@@ -218,3 +218,23 @@ func TestZeroSizeAllocRoundsUp(t *testing.T) {
 		t.Fatal("zero-size alloc larger than one word")
 	}
 }
+
+// TestCheckReadZeroAlloc pins the sanitized access every instrumented load
+// and store pays — the Check of a valid slot plus the Read — as
+// allocation-free once the page exists.
+func TestCheckReadZeroAlloc(t *testing.T) {
+	m := New()
+	base := m.AllocZeroed(4)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		a := base + trace.Addr(i%4*WordSize)
+		i++
+		if f := m.Check(1, a, trace.Load); f != nil {
+			t.Fatal(f)
+		}
+		_ = m.Read(a)
+	})
+	if allocs != 0 {
+		t.Fatalf("sanitized Check+Read allocates %.1f times per access, want 0", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ozz/internal/kmem"
+	"ozz/internal/memmodel"
 	"ozz/internal/trace"
 )
 
@@ -25,52 +26,53 @@ func runWorkload(em *OEMU) {
 	b.FlushAtSyscallExit()
 }
 
-// TestRecycledRunAllocationFree is the steady-state allocation regression
-// gate: once an emulator has been through one run (intern table populated,
-// rings and thread structs built), a recycled no-directive run must not
-// allocate at all — Reset recycles the arenas instead of reallocating.
-func TestRecycledRunAllocationFree(t *testing.T) {
-	mem := kmem.New()
-	mem.Sanitize = false
-	em := New(mem)
-	// Warm-up: populate intern table, rings, thread freelist.
-	for i := 0; i < 3; i++ {
+// recycledRunAllocs warms em over mem with three runs under model mm,
+// store-history tracking on or off, and returns the allocations of one
+// more recycled run.
+func recycledRunAllocs(em *OEMU, mem *kmem.Memory, mm *memmodel.Table, tracked bool) float64 {
+	run := func() {
+		em.SetModel(mm)
+		em.SetHistoryTracking(tracked)
 		runWorkload(em)
 		mem.Reset()
 		em.Reset()
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		runWorkload(em)
-		mem.Reset()
-		em.Reset()
-	})
-	if allocs != 0 {
-		t.Fatalf("recycled no-directive run allocates %.1f times, want 0", allocs)
+	// Warm-up: populate intern table, rings, thread freelist.
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	return testing.AllocsPerRun(50, run)
+}
+
+// TestRecycledRunAllocationFree is the steady-state allocation regression
+// gate: once an emulator has been through one run (intern table populated,
+// rings and thread structs built), a recycled no-directive run must not
+// allocate at all — Reset recycles the arenas instead of reallocating. The
+// run keeps store-history tracking off, as every engine run without
+// versioned loads does. It runs under every registered memory model, so
+// each model's dispatch through the compiled table (TSO's FIFO store
+// buffer included) is pinned too.
+func TestRecycledRunAllocationFree(t *testing.T) {
+	for _, mm := range memmodel.All() {
+		mem := kmem.New()
+		mem.Sanitize = false
+		if allocs := recycledRunAllocs(New(mem), mem, mm, false); allocs != 0 {
+			t.Errorf("%s: recycled no-directive run allocates %.1f times, want 0", mm.Name(), allocs)
+		}
 	}
 }
 
 // TestRecycledRunAllocationFreeTracked repeats the gate with store-history
-// tracking left on (the default): ring recycling and in-place stamp writes
-// must keep the tracked path allocation-free too.
+// tracking on (the default after Reset): ring recycling and in-place stamp
+// writes must keep the tracked path allocation-free too, under every
+// model.
 func TestRecycledRunAllocationFreeTracked(t *testing.T) {
-	mem := kmem.New()
-	mem.Sanitize = false
-	em := New(mem)
-	for i := 0; i < 3; i++ {
-		runWorkload(em)
-		mem.Reset()
-		em.Reset()
-	}
-	if !em.HistoryTracking() {
-		t.Fatal("tracking should be on by default after Reset")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		runWorkload(em)
-		mem.Reset()
-		em.Reset()
-	})
-	if allocs != 0 {
-		t.Fatalf("tracked recycled run allocates %.1f times, want 0", allocs)
+	for _, mm := range memmodel.All() {
+		mem := kmem.New()
+		mem.Sanitize = false
+		if allocs := recycledRunAllocs(New(mem), mem, mm, true); allocs != 0 {
+			t.Errorf("%s: tracked recycled run allocates %.1f times, want 0", mm.Name(), allocs)
+		}
 	}
 }
 

@@ -317,3 +317,55 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
+
+// TestSequentialYieldZeroAlloc pins the sequential-session scheduling
+// point, which every instrumented access of an STI or baseline run hits,
+// as allocation-free.
+func TestSequentialYieldZeroAlloc(t *testing.T) {
+	s := NewSession(Sequential{})
+	var allocs float64
+	s.Spawn(0, 0, func(h *Task) {
+		allocs = testing.AllocsPerRun(100, func() { h.Yield(1) })
+	})
+	if aborted := s.Run(); aborted != nil {
+		t.Fatalf("aborted: %v", aborted)
+	}
+	if allocs != 0 {
+		t.Fatalf("sequential yield allocates %.1f times, want 0", allocs)
+	}
+}
+
+// pingPong hands the run token between tasks 0 and 1 at every scheduling
+// point.
+type pingPong struct{}
+
+func (pingPong) First(order []int) int { return order[0] }
+func (pingPong) OnYield(cur *Task, _ trace.InstrID) (int, bool) {
+	return 1 - cur.ID, true
+}
+
+// TestSwitchZeroAlloc pins a full preemption — the run-token handoff to
+// the other task and back — as allocation-free.
+func TestSwitchZeroAlloc(t *testing.T) {
+	s := NewSession(pingPong{})
+	var allocs float64
+	done := false
+	s.Spawn(0, 0, func(h *Task) {
+		allocs = testing.AllocsPerRun(100, func() { h.Yield(1) })
+		done = true
+	})
+	s.Spawn(1, 1, func(h *Task) {
+		for !done {
+			h.Yield(2)
+		}
+	})
+	if aborted := s.Run(); aborted != nil {
+		t.Fatalf("aborted: %v", aborted)
+	}
+	if s.Switches() < 100 {
+		t.Fatalf("switches = %d, want every yield to hand off", s.Switches())
+	}
+	if allocs != 0 {
+		t.Fatalf("task switch allocates %.1f times per yield, want 0", allocs)
+	}
+}
